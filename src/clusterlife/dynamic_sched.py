@@ -110,7 +110,8 @@ def build_columns(
         orders = [tuple(p) for p in itertools.permutations(range(cluster.n))]
     orders = [tuple(int(i) for i in order) for order in orders]
     orders_arr = np.array(orders, dtype=int)
-    loads = static_sched._loads_matrix(cluster, orders_arr)  # (M, N) by node id
+    # (M, N) by node id: argsort of a permutation is its inverse
+    loads = np.take_along_axis(cluster.loads(orders_arr), np.argsort(orders_arr, axis=1), axis=1)
     if isinstance(mode, Srra):
         energy = mode.c * loads * cluster.path_losses
         return [Column(order=o, times=None, energy=energy[r]) for r, o in enumerate(orders)]
@@ -187,7 +188,6 @@ def solve_lp(columns, energies) -> DynamicPlan:
         if enter < 0:
             break
         col = tab[:, enter]
-        ratios = np.where(col > _PIVOT_TOL, tab[:, -1] / np.where(col > _PIVOT_TOL, col, 1.0), np.inf)
         leave = -1
         best = np.inf
         for i in range(n):
@@ -250,7 +250,7 @@ def lifetime_by_schedule_count(
     saturation point bounds how many schedules are worth cooperating.
     """
     orders = [tuple(p) for p in itertools.permutations(range(cluster.n))]
-    lifetimes = static_sched._lifetimes_for_orders(cluster, np.array(orders, dtype=int), mode)
+    lifetimes = static_sched.order_lifetimes(cluster, np.array(orders, dtype=int), mode)
     ranked = [orders[i] for i in np.argsort(-lifetimes, kind="stable")]
     out = []
     for m in range(1, len(ranked) + 1):

@@ -77,13 +77,11 @@ def srra_points(cluster: ClusterSpec, mode: Srra) -> list[EnergyPoint]:
     """The N! allocation-free energy points of the low-rate regime."""
     if cluster.n > static_sched.BRUTE_FORCE_MAX_NODES:
         raise GuardError("full schedule enumeration is too large")
-    points = []
-    for order in itertools.permutations(range(cluster.n)):
-        loads = cluster.schedule_loads(order).loads_by_node(cluster.n)
-        points.append(
-            EnergyPoint(energy=mode.c * loads * cluster.path_losses, order=tuple(order), times=None)
-        )
-    return points
+    orders = static_sched.all_orders(cluster.n)
+    # argsort of a permutation is its inverse: it reindexes loads by node id
+    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
+    energy = mode.c * loads * cluster.path_losses
+    return [EnergyPoint(energy=e, order=tuple(o.tolist()), times=None) for e, o in zip(energy, orders)]
 
 
 def min_norm_weights(points) -> np.ndarray:

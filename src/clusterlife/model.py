@@ -26,6 +26,10 @@ from .errors import ModelDegeneracyError, ValidationError
 # 0.5*log2(2*pi*e): marginal entropy of a unit-variance Gaussian, in bits.
 HALF_LOG2_2PIE = 0.5 * math.log2(2.0 * math.pi * math.e)
 
+# Polling sequences handled per batch by ClusterSpec.loads: the stacked
+# (block, k, k) work arrays stay at a few MB however many orders are asked for.
+_LOADS_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -115,7 +119,13 @@ class ClusterSpec:
         self.path_losses = np.array([node.path_loss for node in self.nodes], dtype=float)
         diff = self.positions[:, None, :] - self.positions[None, :, :]
         self.distances = np.sqrt((diff**2).sum(axis=2))
-        if isinstance(correlation, GaussianField):
+        # Pairwise table read by loads(): bits for BitDistance, covariance
+        # for GaussianField.
+        if isinstance(correlation, BitDistance):
+            self._pair = np.where(self.distances <= correlation.n, np.ceil(self.distances), float(correlation.n))
+        else:
+            self._pair = correlation.sigma2 * np.exp(-correlation.a * self.distances**2)
+            np.fill_diagonal(self._pair, correlation.sigma2)
             self._check_gaussian()
 
     @property
@@ -150,83 +160,61 @@ class ClusterSpec:
         idx = list(ids)
         for i in idx:
             self._check_id(i)
-        d = self.distances[np.ix_(idx, idx)]
-        model = self.correlation
-        k = model.sigma2 * np.exp(-model.a * d**2)
-        np.fill_diagonal(k, model.sigma2)
-        return k
+        return self._pair[np.ix_(idx, idx)]
 
-    def bits_bitdist(self, i: int, prefix: Sequence[int]) -> int:
-        """Bits node i must send given a polled prefix, under BitDistance."""
-        if not isinstance(self.correlation, BitDistance):
-            raise ValidationError("bits_bitdist requires a BitDistance model")
-        self._check_id(i)
-        prefix = list(prefix)
-        if i in prefix:
-            raise ValidationError(f"node {i} is already in the polled prefix")
-        n = self.correlation.n
-        if not prefix:
-            return n
-        best = n
-        for j in prefix:
-            self._check_id(j)
-            d = self.distances[i, j]
-            bits = math.ceil(d) if d <= n else n
-            best = min(best, bits)
-        return best
+    def loads(self, seqs) -> np.ndarray:
+        """Conditional loads of a batch of polling sequences.
 
-    def bits_gaussian(self, i: int, prefix: Sequence[int]) -> float:
-        """Conditional entropy (bits) of node i given the polled prefix."""
-        if not isinstance(self.correlation, GaussianField):
-            raise ValidationError("bits_gaussian requires a GaussianField model")
-        self._check_id(i)
-        prefix = list(prefix)
-        if i in prefix:
-            raise ValidationError(f"node {i} is already in the polled prefix")
-        k = self.covariance(prefix + [i])
-        try:
-            chol = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError as exc:
-            raise ModelDegeneracyError(f"covariance is not positive definite: {exc}") from exc
-        h = HALF_LOG2_2PIE + math.log2(chol[-1, -1]) + self.correlation.offset
-        if h <= 0:
-            raise ModelDegeneracyError(
-                f"conditional load for node {i} given {prefix} is {h} <= 0; "
-                "increase the model offset"
+        ``seqs`` is an (M, k) integer array whose rows are orders or prefixes
+        with distinct node ids; entry (r, j) of the result is the bits node
+        ``seqs[r, j]`` sends once ``seqs[r, :j]`` are decoded. Rows are handled
+        in blocks of ``_LOADS_BLOCK`` so memory stays bounded at N! rows.
+        """
+        seqs = np.asarray(seqs)
+        if seqs.ndim != 2 or (seqs.size and not np.issubdtype(seqs.dtype, np.integer)):
+            raise ValidationError(
+                f"polling sequences must be an (M, k) integer array, got {seqs.dtype} of shape {seqs.shape}"
             )
-        return h
+        if seqs.size and (seqs.min() < 0 or seqs.max() >= self.n):
+            raise ValidationError(f"polling sequences hold node ids outside 0..{self.n - 1}")
+        ranked = np.sort(seqs, axis=1)
+        if np.any(ranked[:, 1:] == ranked[:, :-1]):
+            raise ValidationError("a polling sequence repeats a node id")
+        k = seqs.shape[1]
+        out = np.empty(seqs.shape)
+        for start in range(0, len(seqs), _LOADS_BLOCK):
+            block = seqs[start:start + _LOADS_BLOCK]
+            pair = self._pair[block[:, :, None], block[:, None, :]]
+            if isinstance(self.correlation, BitDistance):
+                # position j keeps the cheapest pairwise bits over positions < j
+                h = pair.min(axis=2, where=np.tri(k, k, -1, dtype=bool), initial=self.correlation.n)
+            else:
+                # the Cholesky diagonal of the reordered covariance holds every
+                # conditional standard deviation along the sequence at once
+                try:
+                    chol = np.linalg.cholesky(pair)
+                except np.linalg.LinAlgError as exc:
+                    raise ModelDegeneracyError(f"covariance is not positive definite: {exc}") from exc
+                h = HALF_LOG2_2PIE + np.log2(np.diagonal(chol, axis1=1, axis2=2)) + self.correlation.offset
+                if np.any(h <= 0):
+                    r, j = np.argwhere(h <= 0)[0]
+                    raise ModelDegeneracyError(
+                        f"conditional load for node {block[r, j]} given {block[r, :j].tolist()} "
+                        f"is {h[r, j]} <= 0; increase the model offset"
+                    )
+            out[start:start + len(block)] = h
+        return out
 
     def conditional_bits(self, i: int, prefix: Sequence[int]) -> float:
-        """Model-dispatching conditional load."""
-        if isinstance(self.correlation, BitDistance):
-            return float(self.bits_bitdist(i, prefix))
-        return self.bits_gaussian(i, prefix)
+        """Bits node i must send given a polled prefix."""
+        return float(self.loads([[*prefix, i]])[0, -1])
 
     def schedule_loads(self, order: Sequence[int]) -> Schedule:
         """Conditional load of every position of a polling order."""
         order = tuple(int(i) for i in order)
-        if sorted(order) != list(range(self.n)):
+        if len(order) != self.n:
             raise ValidationError(f"order {order} is not a permutation of 0..{self.n - 1}")
-        if isinstance(self.correlation, BitDistance):
-            loads = np.empty(self.n)
-            for k in range(self.n):
-                loads[k] = self.bits_bitdist(order[k], order[:k])
-            return Schedule(order, loads)
-        # Gaussian: one Cholesky of the reordered covariance gives every
-        # determinant ratio along the schedule at once.
-        k = self.covariance(order)
-        try:
-            chol = np.linalg.cholesky(k)
-        except np.linalg.LinAlgError as exc:
-            raise ModelDegeneracyError(f"covariance is not positive definite: {exc}") from exc
-        loads = HALF_LOG2_2PIE + np.log2(np.diag(chol)) + self.correlation.offset
-        if np.any(loads <= 0):
-            bad = order[int(np.argmin(loads))]
-            raise ModelDegeneracyError(
-                f"conditional load for node {bad} under order {order} is <= 0; "
-                "increase the model offset"
-            )
-        return Schedule(order, loads)
+        return Schedule(order, self.loads([order])[0])
 
     def joint_entropy(self) -> float:
         """Total bits of the full cluster (Gaussian), offset included per node."""

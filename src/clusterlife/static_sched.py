@@ -23,7 +23,8 @@ from .model import BitDistance, ClusterSpec, GaussianField, Schedule
 
 BRUTE_FORCE_MAX_NODES = 8
 
-# Lifetimes closer than this are treated as ties and broken lexicographically.
+# Lifetimes within this fraction of the best are treated as ties and broken
+# lexicographically.
 _TIE_TOL = 1e-12
 
 
@@ -68,32 +69,10 @@ def evaluate_schedule(order, cluster: ClusterSpec, mode: EnergyMode, method: str
     )
 
 
-def _loads_matrix(cluster: ClusterSpec, orders: np.ndarray) -> np.ndarray:
-    """Per-node-id load matrix, one row per order. orders is (M, N) int."""
-    m, n = orders.shape
-    if isinstance(cluster.correlation, BitDistance):
-        nmax = cluster.correlation.n
-        d = cluster.distances
-        bits = np.where(d <= nmax, np.ceil(d), float(nmax))
-        bits = np.minimum(bits, nmax)
-        # g[r, k, j] = pairwise bits between polled positions k and j of row r
-        g = bits[orders[:, :, None], orders[:, None, :]]
-        loads_pos = np.empty((m, n))
-        loads_pos[:, 0] = nmax
-        for k in range(1, n):
-            loads_pos[:, k] = g[:, k, :k].min(axis=1)
-    else:
-        loads_pos = np.empty((m, n))
-        for r in range(m):
-            loads_pos[r] = cluster.schedule_loads(orders[r]).loads
-    by_node = np.empty((m, n))
-    rows = np.arange(m)[:, None]
-    by_node[rows, orders] = loads_pos
-    return by_node
-
-
-def _lifetimes_for_orders(cluster: ClusterSpec, orders: np.ndarray, mode: EnergyMode) -> np.ndarray:
-    loads = _loads_matrix(cluster, orders)
+def order_lifetimes(cluster: ClusterSpec, orders: np.ndarray, mode: EnergyMode) -> np.ndarray:
+    """Lifetime of every row of an (M, N) array of polling orders."""
+    # argsort of a permutation is its inverse: it reindexes loads by node id
+    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
     if isinstance(mode, Srra):
         return lifetime_srra_batch(loads, cluster.energies, cluster.path_losses, c=mode.c)
     lifetimes, _ = equalize_batch(loads, cluster.energies, cluster.path_losses)
@@ -103,7 +82,7 @@ def _lifetimes_for_orders(cluster: ClusterSpec, orders: np.ndarray, mode: Energy
 def _best_order(orders: np.ndarray, lifetimes: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Max lifetime with deterministic lexicographic tie-breaking."""
     best = float(np.max(lifetimes))
-    tied = np.nonzero(lifetimes >= best - _TIE_TOL)[0]
+    tied = np.nonzero(lifetimes >= best * (1.0 - _TIE_TOL))[0]
     rows = sorted(tuple(int(v) for v in orders[i]) for i in tied)
     return rows[0], best
 
@@ -123,10 +102,10 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode, threads: int | None = No
         # Contiguous lexicographic blocks, one per first node; deterministic merge.
         blocks = np.array_split(orders, min(threads * 2, len(orders)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: _lifetimes_for_orders(cluster, b, mode), blocks))
+            results = list(pool.map(lambda b: order_lifetimes(cluster, b, mode), blocks))
         lifetimes = np.concatenate(results)
     else:
-        lifetimes = _lifetimes_for_orders(cluster, orders, mode)
+        lifetimes = order_lifetimes(cluster, orders, mode)
     order, _ = _best_order(orders, lifetimes)
     return evaluate_schedule(order, cluster, mode, method="brute")
 
@@ -151,7 +130,7 @@ def nnn(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
             remaining.remove(best)
         candidates.append(tuple(order))
     orders = np.array(candidates, dtype=int)
-    lifetimes = _lifetimes_for_orders(cluster, orders, mode)
+    lifetimes = order_lifetimes(cluster, orders, mode)
     order, _ = _best_order(orders, lifetimes)
     return evaluate_schedule(order, cluster, mode, method="nnn")
 
@@ -162,15 +141,11 @@ def mcn(cluster: ClusterSpec, mode: Srra) -> StaticResult:
     if not isinstance(mode, Srra):
         raise ValidationError("mcn requires the SRRA energy mode")
     order: list[int] = []
-    remaining = set(range(cluster.n))
+    remaining = list(range(cluster.n))
     while remaining:
-        def cost(i):
-            h = cluster.conditional_bits(i, order)
-            return h * cluster.path_losses[i] / cluster.energies[i]
-
-        best = min(remaining, key=lambda i: (cost(i), i))
-        order.append(best)
-        remaining.remove(best)
+        h = cluster.loads([order + [i] for i in remaining])[:, -1]
+        cost = h * cluster.path_losses[remaining] / cluster.energies[remaining]
+        order.append(remaining.pop(int(np.argmin(cost))))  # first minimum: smallest id
     return evaluate_schedule(tuple(order), cluster, mode, method="mcn")
 
 

@@ -38,7 +38,7 @@ from clusterlife import (
     verify_theorem4,
 )
 from clusterlife.energy import min_time_for_energy_vec, tx_energy_vec
-from clusterlife.static_sched import _loads_matrix, all_orders, evaluate_schedule
+from clusterlife.static_sched import all_orders, evaluate_schedule
 from conftest import make_cluster, random_positions, record_criterion
 
 
@@ -172,7 +172,7 @@ def test_criterion_03_greedy_nearest_neighbor_optimality():
 
 def _sorted_node_lifetimes_all_orders(cluster, c):
     orders = all_orders(cluster.n)
-    loads = _loads_matrix(cluster, orders)
+    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
     per = c * loads * cluster.path_losses
     life = cluster.energies / np.where(per > 0, per, np.inf)
     return orders, np.sort(life, axis=1)

@@ -56,21 +56,21 @@ def test_bit_distance_loads_collinear():
 
 def test_bit_distance_prefix_rules():
     cluster = collinear_cluster(BitDistance(3), spacing=2.5)
-    assert cluster.bits_bitdist(1, []) == 3  # empty prefix: full n
-    assert cluster.bits_bitdist(1, [0]) == 3  # ceil(2.5) = 3 == n
-    assert cluster.bits_bitdist(2, [0]) == 3  # d = 5 > n caps at n
-    assert cluster.bits_bitdist(2, [0, 1]) == 3
+    assert cluster.conditional_bits(1, []) == 3  # empty prefix: full n
+    assert cluster.conditional_bits(1, [0]) == 3  # ceil(2.5) = 3 == n
+    assert cluster.conditional_bits(2, [0]) == 3  # d = 5 > n caps at n
+    assert cluster.conditional_bits(2, [0, 1]) == 3
     with pytest.raises(ValidationError):
-        cluster.bits_bitdist(1, [1])
+        cluster.conditional_bits(1, [1])
     with pytest.raises(ValidationError):
-        cluster.bits_bitdist(9, [])
+        cluster.conditional_bits(9, [])
 
 
 def test_gaussian_entropies_closed_form():
     model = GaussianField(1.0, 0.5, offset=3.0)
     cluster = collinear_cluster(model, spacing=1.5, n_nodes=2)
-    assert cluster.bits_gaussian(0, []) == pytest.approx(GAUSS_MARGINAL, rel=1e-12)
-    assert cluster.bits_gaussian(1, [0]) == pytest.approx(GAUSS_CONDITIONAL, rel=1e-12)
+    assert cluster.conditional_bits(0, []) == pytest.approx(GAUSS_MARGINAL, rel=1e-12)
+    assert cluster.conditional_bits(1, [0]) == pytest.approx(GAUSS_CONDITIONAL, rel=1e-12)
     sched = cluster.schedule_loads((0, 1))
     assert sched.loads[0] == pytest.approx(GAUSS_MARGINAL, rel=1e-12)
     assert sched.loads[1] == pytest.approx(GAUSS_CONDITIONAL, rel=1e-12)
@@ -132,12 +132,8 @@ def test_model_dispatch_validation():
     with pytest.raises(ValidationError):
         cluster.covariance([0, 1])
     with pytest.raises(ValidationError):
-        cluster.bits_gaussian(0, [])
-    with pytest.raises(ValidationError):
         cluster.joint_entropy()
     gauss = collinear_cluster(GaussianField(1.0, 0.5, offset=3.0))
-    with pytest.raises(ValidationError):
-        gauss.bits_bitdist(0, [])
     with pytest.raises(ValidationError):
         gauss.schedule_loads((0, 1))  # not a permutation of 0..2
     assert gauss.pairwise_distance(0, 2) == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -96,6 +97,23 @@ def test_tie_break_is_lexicographic():
     cluster = ClusterSpec(nodes, BitDistance(2))
     assert brute_force(cluster, Shannon()).order == (0, 1)
     assert brute_force(cluster, Srra()).order == (0, 1)
+
+
+@pytest.mark.parametrize("model,mode", [("bit", Srra()), ("gauss", Srra()), ("gauss", Shannon())])
+def test_brute_force_argmax_with_tiny_lifetimes(model, mode):
+    # batteries scaled until every lifetime is far below one slot: near-ties
+    # are judged relative to the best lifetime, not within an absolute 1e-12
+    base = make_cluster(np.random.default_rng(3), 4, model=model)
+    nodes = [dataclasses.replace(nd, energy=nd.energy * 1e-14) for nd in base.nodes]
+    cluster = ClusterSpec(nodes, base.correlation)
+    lifetimes = {
+        order: evaluate_schedule(order, cluster, mode).lifetime
+        for order in itertools.permutations(range(cluster.n))
+    }
+    best = max(lifetimes.values())
+    assert best <= 1e-10
+    assert lifetimes[(0, 1, 2, 3)] < best * (1 - 1e-9)  # the lexicographic first is no tie
+    assert brute_force(cluster, mode).lifetime >= best * (1 - 1e-12)
 
 
 def test_nnn_requires_bit_model_and_beats_nothing_forbidden():
