@@ -56,4 +56,4 @@ print(f"  best order  {best.order}: lifetime {best.lifetime:.6g}  "
       f"(+{100 * (best.lifetime / base.lifetime - 1):.1f}%)")
 print("  per-slot time split of the winner (sums to 1):")
 for node in range(cluster.n):
-    print(f"    node {node}: t = {best.allocation.times[node]:.4f}")
+    print(f"    node {node}: t = {best.times[node]:.4f}")

@@ -8,7 +8,7 @@ multi-schedule cooperation plans, the energy-space geometry behind them, and
 a slot-by-slot simulator cross-checking the analytic lifetimes.
 """
 
-from .allocation import AllocationResult, equalize, equalize_batch, lifetime_srra, lifetime_srra_batch
+from .allocation import equalize_batch, lifetime_srra_batch
 from .dynamic_sched import (
     Column,
     DynamicPlan,
@@ -70,7 +70,6 @@ from .static_sched import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AllocationResult",
     "BRUTE_FORCE_MAX_NODES",
     "BitDistance",
     "ClusterLifeError",
@@ -108,14 +107,12 @@ __all__ = [
     "dynamic_lifetime",
     "equal_energy_crossing",
     "equal_line_alignment",
-    "equalize",
     "equalize_batch",
     "evaluate_schedule",
     "generate_scenario",
     "hull_2d",
     "lifetime_by_schedule_count",
     "lifetime_from_weights",
-    "lifetime_srra",
     "lifetime_srra_batch",
     "load_scenario",
     "mcn",

@@ -1,4 +1,4 @@
-"""Lifetime-equalizing transmission-time allocation for one schedule.
+"""Lifetime-equalizing transmission-time allocation, batched over schedules.
 
 Given the conditional loads of a schedule, the best single-schedule operation
 splits the unit slot so that every transmitting node's battery divided by its
@@ -12,12 +12,9 @@ allocation question disappears and the lifetime is a plain min-ratio.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .energy import LN2, min_time_for_energy_vec, tx_energy_vec
+from .energy import LN2, min_time_for_energy_vec
 from .errors import NumericError
 
 # |sum(t) - 1| target for the outer bisection on L, and its iteration cap.
@@ -27,42 +24,12 @@ _SUM_TOL = 1e-12
 _MAX_ITER = 300
 
 
-@dataclass(frozen=True)
-class AllocationResult:
-    """Equalized times (summing to 1), the common lifetime, per-slot energies."""
-
-    times: np.ndarray
-    lifetime: float
-    per_node_energy: np.ndarray
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.lifetime)
-
-
-def equalize(loads, energies, path_losses) -> AllocationResult:
-    """Equal-lifetime time allocation for one schedule.
-
-    ``loads`` is indexed however the caller likes (typically by node id), and
-    ``energies``/``path_losses`` must use the same indexing. Zero-load nodes
-    get zero time and are excluded from the equalization. If every load is
-    zero the lifetime is unbounded and reported as math.inf.
-    """
-    lifetimes, times = equalize_batch(
-        np.asarray(loads, dtype=float)[None, :], energies, path_losses
-    )
-    loads = np.asarray(loads, dtype=float)
-    d = np.asarray(path_losses, dtype=float)
-    per_node = tx_energy_vec(loads, np.where(times[0] > 0, times[0], 1.0)) * d
-    return AllocationResult(times=times[0], lifetime=float(lifetimes[0]), per_node_energy=per_node)
-
-
 def equalize_batch(loads, energies, path_losses):
-    """Vectorized equalize over many schedules at once.
+    """Equal-lifetime time allocation for each row of an (M, N) load matrix.
 
-    ``loads`` has shape (M, N); ``energies`` and ``path_losses`` have shape
-    (N,) or (M, N). Returns (lifetimes of shape (M,), times of shape (M, N)).
-    Rows whose loads are all zero get lifetime inf and zero times.
+    ``energies`` and ``path_losses`` share the loads' indexing (typically node
+    id), with shape (N,) or (M, N). Returns (lifetimes (M,), times (M, N)).
+    Zero-load nodes get zero time; all-zero rows get lifetime inf.
     """
     h = np.asarray(loads, dtype=float)
     if h.ndim != 2:
@@ -123,32 +90,14 @@ def equalize_batch(loads, energies, path_losses):
     return lifetimes, times
 
 
-def lifetime_srra(loads, energies, path_losses, c: float = LN2):
-    """Low-rate lifetime of one schedule: min over nodes of E/(c*h*d).
-
-    Indexing is by node identity: a node's battery and channel follow the
-    node, not its polling position. Returns (lifetime, bottleneck node index);
-    zero-load nodes never bottleneck, and an all-zero load vector yields
-    (inf, None).
-    """
+def lifetime_srra_batch(loads, energies, path_losses, c: float = LN2):
+    """Low-rate lifetime min over nodes of E/(c*h*d) for each row of a
+    (schedules, nodes) load matrix; zero loads never bottleneck."""
     h = np.asarray(loads, dtype=float)
     e = np.asarray(energies, dtype=float)
     d = np.asarray(path_losses, dtype=float)
     if np.any(h < 0) or np.any(e <= 0) or np.any(d <= 0) or c <= 0:
         raise ValueError("loads must be >= 0, energies/path losses/c > 0")
-    pos = h > 0
-    if not np.any(pos):
-        return math.inf, None
-    ratios = np.where(pos, e / (c * np.maximum(h, 1e-300) * d), np.inf)
-    bottleneck = int(np.argmin(ratios))
-    return float(ratios[bottleneck]), bottleneck
-
-
-def lifetime_srra_batch(loads, energies, path_losses, c: float = LN2):
-    """Vectorized min-ratio lifetime over a (schedules, nodes) load matrix."""
-    h = np.asarray(loads, dtype=float)
-    e = np.asarray(energies, dtype=float)
-    d = np.asarray(path_losses, dtype=float)
     pos = h > 0
     ratios = np.where(pos, e / (c * np.maximum(h, 1e-300) * d), np.inf)
     return ratios.min(axis=1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
@@ -20,7 +19,7 @@ from . import dynamic_sched, geometry, scenario, static_sched
 from .energy import Shannon, Srra
 from .simulate import simulate_dynamic, simulate_static
 from .errors import ClusterLifeError, GuardError, ValidationError
-from .model import BitDistance, GaussianField
+from .model import Schedule
 
 _FMT = "{:.12g}"
 
@@ -64,27 +63,24 @@ def _order_arg(text: str, n: int):
     return order
 
 
+def _static_rows(result, cluster):
+    """Formatted (node, load_bits, time, per_slot_energy) rows by node id; SRRA times are a 1/N share."""
+    loads = Schedule(result.order, result.loads).loads_by_node(cluster.n)
+    times = result.times if result.times is not None else np.full(cluster.n, 1.0 / cluster.n)
+    return [(str(k), _fmt(loads[k]), _fmt(times[k]), _fmt(result.per_slot_energy[k])) for k in range(cluster.n)]
+
+
 def _print_static(result, cluster):
     print(f"method: {result.method}")
     print(f"order: {','.join(str(i) for i in result.order)}")
     print(f"lifetime: {_fmt(result.lifetime)}")
     print("node,load_bits,time,per_slot_energy")
-    times = result.allocation.times if result.allocation is not None else None
-    loads_by_node = np.zeros(cluster.n)
-    loads_by_node[list(result.order)] = result.loads
-    for k in range(cluster.n):
-        t = times[k] if times is not None else 1.0 / cluster.n
-        print(f"{k},{_fmt(loads_by_node[k])},{_fmt(t)},{_fmt(result.per_slot_energy[k])}")
+    for row in _static_rows(result, cluster):
+        print(",".join(row))
 
 
 def _static_csv(path, result, cluster):
-    loads_by_node = np.zeros(cluster.n)
-    loads_by_node[list(result.order)] = result.loads
-    times = result.allocation.times if result.allocation is not None else np.full(cluster.n, 1.0 / cluster.n)
-    rows = [
-        (str(k), loads_by_node[k], times[k], result.per_slot_energy[k], result.lifetime)
-        for k in range(cluster.n)
-    ]
+    rows = [row + (result.lifetime,) for row in _static_rows(result, cluster)]
     _write_csv(path, ["node", "load_bits", "time", "per_slot_energy", "lifetime"], rows)
 
 

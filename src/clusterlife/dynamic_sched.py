@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import equalize_batch
-from .energy import EnergyMode, Shannon, Srra, tx_energy_vec
+from .energy import EnergyMode, Shannon, Srra
 from .errors import GuardError, NumericError, ValidationError
 from .model import ClusterSpec
 from . import static_sched
@@ -107,29 +106,22 @@ def build_columns(
                 f"full schedule enumeration is guarded at N <= {COLUMN_ENUM_MAX_NODES}; "
                 "pass an explicit schedule subset for larger clusters"
             )
-        orders = [tuple(p) for p in itertools.permutations(range(cluster.n))]
+        orders = itertools.permutations(range(cluster.n))
     orders = [tuple(int(i) for i in order) for order in orders]
     orders_arr = np.array(orders, dtype=int)
-    # (M, N) by node id: argsort of a permutation is its inverse
-    loads = np.take_along_axis(cluster.loads(orders_arr), np.argsort(orders_arr, axis=1), axis=1)
+    ev = static_sched.evaluate_orders(cluster, orders_arr, mode)
     if isinstance(mode, Srra):
-        energy = mode.c * loads * cluster.path_losses
-        return [Column(order=o, times=None, energy=energy[r]) for r, o in enumerate(orders)]
-    lifetimes, times = equalize_batch(loads, cluster.energies, cluster.path_losses)
-    eq_energy = tx_energy_vec(loads, np.where(times > 0, times, 1.0)) * cluster.path_losses
+        return [Column(order=o, times=None, energy=ev.energy[r]) for r, o in enumerate(orders)]
     extra = simplex_grid_samples(cluster.n, samples_per_schedule - 1)
+    extra_times, extra_energy = static_sched.split_energy(cluster, orders_arr, extra)
     columns: list[Column] = []
     for r, order in enumerate(orders):
-        columns.append(Column(order=order, times=times[r], energy=eq_energy[r]))
-        if math.isinf(lifetimes[r]):
+        columns.append(Column(order=order, times=ev.times[r], energy=ev.energy[r]))
+        if math.isinf(ev.lifetimes[r]):
             continue  # zero loads: the one free column already dominates
-        for t_pos in extra:
-            times_by_node = np.empty(cluster.n)
-            times_by_node[list(order)] = t_pos
-            energy = tx_energy_vec(loads[r], times_by_node) * cluster.path_losses
-            if not np.all(np.isfinite(energy)):
-                continue  # allocation starves a heavy load: cost overflows
-            columns.append(Column(order=order, times=times_by_node, energy=energy))
+        for times, energy in zip(extra_times[r], extra_energy[r]):
+            if np.all(np.isfinite(energy)):  # else the split starves a heavy load
+                columns.append(Column(order=order, times=times, energy=energy))
     return columns
 
 
@@ -249,9 +241,9 @@ def lifetime_by_schedule_count(
     are nested, so the sequence is non-decreasing by construction and its
     saturation point bounds how many schedules are worth cooperating.
     """
-    orders = [tuple(p) for p in itertools.permutations(range(cluster.n))]
-    lifetimes = static_sched.order_lifetimes(cluster, np.array(orders, dtype=int), mode)
-    ranked = [orders[i] for i in np.argsort(-lifetimes, kind="stable")]
+    orders = static_sched.all_orders(cluster.n)
+    lifetimes = static_sched.evaluate_orders(cluster, orders, mode).lifetimes
+    ranked = orders[np.argsort(-lifetimes, kind="stable")]
     out = []
     for m in range(1, len(ranked) + 1):
         plan = dynamic_lifetime(cluster, mode, samples_per_schedule, orders=ranked[:m])
@@ -284,27 +276,19 @@ def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon(), grid: in
         raise ValidationError("verify_theorem4 requires exactly two nodes")
     if not isinstance(mode, Shannon):
         raise ValidationError("verify_theorem4 is a Shannon-mode construction")
-    s01 = static_sched.evaluate_schedule((0, 1), cluster, mode)
-    s10 = static_sched.evaluate_schedule((1, 0), cluster, mode)
-    static_best = s10 if s10.lifetime > s01.lifetime + 1e-12 else s01
+    static_best = static_sched.brute_force(cluster, mode)
 
     plan = dynamic_lifetime(cluster, mode, samples_per_schedule=64)
     l_dyn = plan.lifetime
 
     best_order = static_best.order
     other_order = tuple(reversed(best_order))
-    loads = cluster.schedule_loads(best_order).loads
-    h, h12 = float(loads[0]), float(loads[1])
-    t = float(static_best.allocation.times[best_order[0]])
+    h, h12 = float(static_best.loads[0]), float(static_best.loads[1])
+    t = float(static_best.times[best_order[0]])
 
     def column_at(order, first_time):
-        times_pos = np.array([first_time, 1.0 - first_time])
-        energy_pos = tx_energy_vec(cluster.schedule_loads(order).loads, times_pos)
-        energy = np.empty(2)
-        energy[list(order)] = energy_pos
-        times = np.empty(2)
-        times[list(order)] = times_pos
-        return Column(order=order, times=times, energy=energy * cluster.path_losses)
+        times, energy = static_sched.split_energy(cluster, [order], [[first_time, 1.0 - first_time]])
+        return Column(order=order, times=times[0, 0], energy=energy[0, 0])
 
     witness = None
     witness_lifetime = None
@@ -314,7 +298,7 @@ def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon(), grid: in
             for s in np.linspace(s_low + 1e-6, 1 - 1e-3, grid):
                 pair = [column_at(best_order, r), column_at(other_order, s)]
                 cand = solve_lp(pair, cluster.energies)
-                if cand.lifetime > static_best.lifetime + 1e-9:
+                if cand.lifetime > static_best.lifetime * (1 + 1e-9):
                     witness = (float(r), float(s))
                     witness_lifetime = cand.lifetime
                     break

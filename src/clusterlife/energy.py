@@ -45,26 +45,30 @@ class Srra:
 EnergyMode = Shannon | Srra
 
 
-def tx_energy(h: float, x: float, mode: EnergyMode = Shannon()) -> float:
-    """Energy to transmit ``h`` bits in ``x`` time units (unit path loss)."""
-    if h < 0:
-        raise ValueError(f"bit load must be nonnegative, got {h}")
+def tx_energy(h, x, mode: EnergyMode = Shannon()):
+    """Energy to transmit ``h`` bits in ``x`` time units (unit path loss).
+
+    Broadcasts over arrays; scalar inputs give a float. Zero loads cost
+    nothing whatever their time, and a cost beyond the double range is inf.
+    """
+    h = np.asarray(h, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if (h < 0).any():
+        raise ValueError("bit load must be nonnegative")
+    active = h > 0
     if isinstance(mode, Srra):
-        return mode.c * h
-    if h == 0:
-        return 0.0
-    if x <= 0:
-        raise ValueError(f"transmission time must be positive, got {x}")
-    try:
-        return x * math.expm1(LN2 * h / x)
-    except OverflowError:
-        return math.inf
+        out = np.broadcast_to(mode.c * h, np.broadcast_shapes(h.shape, x.shape)).copy()
+    elif (active & (x <= 0)).any():
+        raise ValueError("transmission time must be positive where h > 0")
+    else:
+        x = np.where(active, x, 1.0)
+        with np.errstate(over="ignore"):
+            out = np.where(active, x * np.expm1(LN2 * h / x), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def srra_error(h: float, x: float) -> float:
     """Gap between the exact curve and its linear asymptote: f(h,x) - h*ln2."""
-    if h == 0:
-        return 0.0
     return tx_energy(h, x) - h * LN2
 
 
@@ -139,17 +143,3 @@ def min_time_for_energy_vec(h: np.ndarray, e: np.ndarray) -> np.ndarray:
     t[active] = ha * LN2 / u
     return t
 
-
-def tx_energy_vec(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorized Shannon curve; entries with h == 0 cost nothing."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast(h, x).shape)
-    active = np.broadcast_to(h, out.shape) > 0
-    hb = np.broadcast_to(h, out.shape)[active]
-    xb = np.broadcast_to(x, out.shape)[active]
-    if np.any(xb <= 0):
-        raise ValueError("transmission time must be positive where h > 0")
-    with np.errstate(over="ignore"):
-        out[active] = xb * np.expm1(LN2 * hb / xb)
-    return out

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import equalize
-from .energy import EnergyMode, Shannon, Srra, tx_energy_vec
+from .energy import Srra
 from .errors import GuardError, ValidationError
 from .model import ClusterSpec
 from . import static_sched
@@ -36,12 +35,9 @@ class EnergyPoint:
 
 
 def _point_for_times(cluster: ClusterSpec, order, times_pos) -> EnergyPoint:
-    loads = cluster.schedule_loads(order).loads
-    energy_pos = tx_energy_vec(loads, np.asarray(times_pos, dtype=float))
-    by_node = np.empty(cluster.n)
-    by_node[list(order)] = energy_pos
-    by_node *= cluster.path_losses  # path loss attaches to node identity
-    return EnergyPoint(energy=by_node, order=tuple(order), times=np.asarray(times_pos, dtype=float))
+    times_pos = np.asarray(times_pos, dtype=float)
+    _, energy = static_sched.split_energy(cluster, [order], times_pos[None, :])
+    return EnergyPoint(energy=energy[0, 0], order=tuple(order), times=times_pos)
 
 
 def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: float = 1e-4) -> list[EnergyPoint]:
@@ -55,12 +51,12 @@ def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: f
     n = cluster.n
     if grid_density < n:
         raise ValidationError("grid_density must be at least the node count")
-    points = []
+    times = []
     for comp in _compositions(grid_density, n):
         t = np.maximum(np.array(comp, dtype=float) / grid_density, floor)
-        t /= t.sum()
-        points.append(_point_for_times(cluster, order, t))
-    return points
+        times.append(t / t.sum())
+    _, energy = static_sched.split_energy(cluster, [order], np.array(times))
+    return [EnergyPoint(energy=e, order=order, times=t) for t, e in zip(times, energy[0])]
 
 
 def _compositions(total: int, parts: int):
@@ -78,9 +74,7 @@ def srra_points(cluster: ClusterSpec, mode: Srra) -> list[EnergyPoint]:
     if cluster.n > static_sched.BRUTE_FORCE_MAX_NODES:
         raise GuardError("full schedule enumeration is too large")
     orders = static_sched.all_orders(cluster.n)
-    # argsort of a permutation is its inverse: it reindexes loads by node id
-    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
-    energy = mode.c * loads * cluster.path_losses
+    energy = static_sched.evaluate_orders(cluster, orders, mode).energy
     return [EnergyPoint(energy=e, order=tuple(o.tolist()), times=None) for e, o in zip(energy, orders)]
 
 
@@ -168,7 +162,7 @@ def best_over_subsets(points, energies, m: int) -> SubsetResult:
     for subset in itertools.combinations(range(count), m):
         r = min_norm_weights(p[list(subset)])
         lifetime = lifetime_from_weights(p[list(subset)], r, energies)
-        if best is None or lifetime > best.lifetime + 1e-12:
+        if best is None or lifetime > best.lifetime * (1 + 1e-12):
             best = SubsetResult(lifetime=lifetime, subset=subset, weights=r)
     return best
 
@@ -208,8 +202,6 @@ def equal_energy_crossing(cluster: ClusterSpec, orders=((0, 1), (1, 0))) -> Cros
         raise ValidationError("equal_energy_crossing requires exactly two nodes")
     crossings = []
     for order in orders:
-        loads = cluster.schedule_loads(order).loads
-
         def diff(t):
             pt = _point_for_times(cluster, order, np.array([t, 1.0 - t]))
             return pt.energy[0] - pt.energy[1]

@@ -113,7 +113,6 @@ class ClusterSpec:
             raise ValidationError(f"node ids must be 0..{len(nodes) - 1} with no gaps, got {ids}")
         self.nodes = tuple(sorted(nodes, key=lambda nd: nd.id))
         self.correlation = correlation
-        self.slot_length = 1.0
         self.positions = np.array([node.position for node in self.nodes], dtype=float)
         self.energies = np.array([node.energy for node in self.nodes], dtype=float)
         self.path_losses = np.array([node.path_loss for node in self.nodes], dtype=float)

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import AllocationResult, equalize, equalize_batch, lifetime_srra, lifetime_srra_batch
-from .energy import EnergyMode, Shannon, Srra
+from .allocation import equalize_batch, lifetime_srra_batch
+from .energy import EnergyMode, Srra, tx_energy
 from .errors import GuardError, ValidationError
-from .model import BitDistance, ClusterSpec, GaussianField, Schedule
+from .model import BitDistance, ClusterSpec, GaussianField
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -37,46 +38,75 @@ class StaticResult:
     lifetime: float
     method: str
     per_slot_energy: np.ndarray  # by node id
-    allocation: AllocationResult | None = None  # Shannon mode only
+    times: np.ndarray | None = None  # equalized split by node id; Shannon mode only
     bottleneck: int | None = None  # SRRA mode only
 
 
+class OrderEvaluation(NamedTuple):
+    """A batch of polling orders judged under one mode; (M, N) arrays by node id."""
+
+    loads: np.ndarray
+    lifetimes: np.ndarray  # (M,)
+    times: np.ndarray | None  # equalized split; None in SRRA mode
+    energy: np.ndarray  # per-slot energy, path loss included
+
+
+def _by_node(cluster: ClusterSpec, orders: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Reindex the last axis of ``values`` from polling position to node id."""
+    if orders.shape[-1] != cluster.n:
+        raise ValidationError(f"orders must be permutations of 0..{cluster.n - 1}, got shape {orders.shape}")
+    # argsort of a permutation is its inverse
+    return np.take_along_axis(values, np.argsort(orders, axis=-1), axis=-1)
+
+
+def evaluate_orders(cluster: ClusterSpec, orders, mode: EnergyMode) -> OrderEvaluation:
+    """Loads, lifetimes, equalized splits and per-slot energies of an (M, N) array of orders.
+
+    The whole batch is equalized in one ``equalize_batch`` call, which stops
+    when every row has converged, so a row's last bits depend on its batch.
+    """
+    orders = np.asarray(orders)
+    loads = _by_node(cluster, orders, cluster.loads(orders))
+    if isinstance(mode, Srra):
+        lifetimes = lifetime_srra_batch(loads, cluster.energies, cluster.path_losses, c=mode.c)
+        return OrderEvaluation(loads, lifetimes, None, tx_energy(loads, 1.0, mode) * cluster.path_losses)
+    lifetimes, times = equalize_batch(loads, cluster.energies, cluster.path_losses)
+    energy = tx_energy(loads, np.where(times > 0, times, 1.0)) * cluster.path_losses
+    return OrderEvaluation(loads, lifetimes, times, energy)
+
+
+def split_energy(cluster: ClusterSpec, orders, times_pos) -> tuple[np.ndarray, np.ndarray]:
+    """Splits and per-slot energies, by node id, of orders run with explicit splits.
+
+    ``orders`` is an (M, N) array of polling orders; ``times_pos`` holds S
+    splits of the slot by polling position, as an (S, N) array shared by
+    every order or an (M, S, N) array. Both results are (M, S, N).
+    """
+    orders = np.asarray(orders)
+    times_pos = np.asarray(times_pos, dtype=float)
+    energy = tx_energy(cluster.loads(orders)[:, None, :], times_pos)
+    orders = orders[:, None, :]
+    times = _by_node(cluster, orders, np.broadcast_to(times_pos, energy.shape))
+    return times, _by_node(cluster, orders, energy) * cluster.path_losses
+
+
 def evaluate_schedule(order, cluster: ClusterSpec, mode: EnergyMode, method: str = "eval") -> StaticResult:
-    """Loads plus lifetime of one explicit polling order under a mode."""
-    schedule = cluster.schedule_loads(order)
-    loads_by_node = schedule.loads_by_node(cluster.n)
+    """Loads, lifetime, split and energies of one polling order: a one-row ``evaluate_orders``."""
+    order = tuple(int(i) for i in order)
+    ev = evaluate_orders(cluster, [order], mode)
+    bottleneck = None
     if isinstance(mode, Srra):
-        lifetime, bottleneck = lifetime_srra(
-            loads_by_node, cluster.energies, cluster.path_losses, c=mode.c
-        )
-        per_slot = mode.c * loads_by_node * cluster.path_losses
-        return StaticResult(
-            order=schedule.order,
-            loads=schedule.loads,
-            lifetime=lifetime,
-            method=method,
-            per_slot_energy=per_slot,
-            bottleneck=bottleneck,
-        )
-    alloc = equalize(loads_by_node, cluster.energies, cluster.path_losses)
+        with np.errstate(divide="ignore"):
+            bottleneck = int(np.argmin(cluster.energies / ev.energy[0]))
     return StaticResult(
-        order=schedule.order,
-        loads=schedule.loads,
-        lifetime=alloc.lifetime,
+        order=order,
+        loads=ev.loads[0][list(order)],
+        lifetime=float(ev.lifetimes[0]),
         method=method,
-        per_slot_energy=alloc.per_node_energy,
-        allocation=alloc,
+        per_slot_energy=ev.energy[0],
+        times=None if ev.times is None else ev.times[0],
+        bottleneck=bottleneck,
     )
-
-
-def order_lifetimes(cluster: ClusterSpec, orders: np.ndarray, mode: EnergyMode) -> np.ndarray:
-    """Lifetime of every row of an (M, N) array of polling orders."""
-    # argsort of a permutation is its inverse: it reindexes loads by node id
-    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
-    if isinstance(mode, Srra):
-        return lifetime_srra_batch(loads, cluster.energies, cluster.path_losses, c=mode.c)
-    lifetimes, _ = equalize_batch(loads, cluster.energies, cluster.path_losses)
-    return lifetimes
 
 
 def _best_order(orders: np.ndarray, lifetimes: np.ndarray) -> tuple[tuple[int, ...], float]:
@@ -102,10 +132,10 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode, threads: int | None = No
         # Contiguous lexicographic blocks, one per first node; deterministic merge.
         blocks = np.array_split(orders, min(threads * 2, len(orders)))
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: order_lifetimes(cluster, b, mode), blocks))
+            results = list(pool.map(lambda b: evaluate_orders(cluster, b, mode).lifetimes, blocks))
         lifetimes = np.concatenate(results)
     else:
-        lifetimes = order_lifetimes(cluster, orders, mode)
+        lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
     order, _ = _best_order(orders, lifetimes)
     return evaluate_schedule(order, cluster, mode, method="brute")
 
@@ -130,7 +160,7 @@ def nnn(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
             remaining.remove(best)
         candidates.append(tuple(order))
     orders = np.array(candidates, dtype=int)
-    lifetimes = order_lifetimes(cluster, orders, mode)
+    lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
     order, _ = _best_order(orders, lifetimes)
     return evaluate_schedule(order, cluster, mode, method="nnn")
 

@@ -5,6 +5,7 @@ every test is reproducible bit-for-bit.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from clusterlife import BitDistance, ClusterSpec, GaussianField, NodeSpec
 
@@ -75,3 +76,12 @@ def two_node_cluster(distance=1.5, energies=(1.0, 1.0), path_losses=(1.0, 1.0), 
         NodeSpec(1, (1.0 + distance, 0.0), energies[1], path_losses[1]),
     ]
     return ClusterSpec(nodes, model if model is not None else BitDistance(2))
+
+
+def cluster_of(model):
+    """Hypothesis strategy: seeded ``make_cluster`` instances with N = 2..6."""
+    return st.builds(
+        lambda seed, n: make_cluster(np.random.default_rng(seed), n, model=model),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+    )

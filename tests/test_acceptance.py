@@ -20,24 +20,19 @@ from clusterlife import (
     Shannon,
     Srra,
     brute_force,
-    build_columns,
     dynamic_lifetime,
     equal_energy_crossing,
     equal_line_alignment,
-    equalize,
     lifetime_by_schedule_count,
     mcn,
     min_norm_weights,
-    min_time_for_energy,
     nnn,
     simulate_dynamic,
     simulate_static,
-    solve_lp,
     srra_points,
-    tx_energy,
     verify_theorem4,
 )
-from clusterlife.energy import min_time_for_energy_vec, tx_energy_vec
+from clusterlife.energy import min_time_for_energy_vec, tx_energy
 from clusterlife.static_sched import all_orders, evaluate_schedule
 from conftest import make_cluster, random_positions, record_criterion
 
@@ -48,15 +43,15 @@ def test_criterion_01_energy_function_suite():
     h = rng.uniform(0.05, 12.0, size=n)
     x = rng.uniform(0.01, 10.0, size=n)
 
-    f = tx_energy_vec(h, x)
+    f = tx_energy(h, x)
     dx = 1e-6 * x
-    monotone = np.all(tx_energy_vec(h, x + dx) < f)
+    monotone = np.all(tx_energy(h, x + dx) < f)
     x2 = x + rng.uniform(0.1, 3.0, size=n)
     convex = np.all(
-        tx_energy_vec(h, 0.5 * (x + x2)) <= 0.5 * (f + tx_energy_vec(h, x2)) + 1e-12
+        tx_energy(h, 0.5 * (x + x2)) <= 0.5 * (f + tx_energy(h, x2)) + 1e-12
     )
-    blow_up = np.all(tx_energy_vec(h, np.full(n, 1e-4)) > 1e8)
-    asymptote = np.all(np.abs(tx_energy_vec(h, np.full(n, 1e6)) - h * LN2) < 1e-5 * h)
+    blow_up = np.all(tx_energy(h, np.full(n, 1e-4)) > 1e8)
+    asymptote = np.all(np.abs(tx_energy(h, np.full(n, 1e6)) - h * LN2) < 1e-5 * h)
     t_back = min_time_for_energy_vec(h, f)
     roundtrip = np.allclose(t_back, x, rtol=1e-8)
 
@@ -84,8 +79,7 @@ def criterion2_results():
     for cluster in _criterion2_instances():
         order = tuple(range(cluster.n))
         loads = cluster.schedule_loads(order).loads_by_node(cluster.n)
-        alloc = equalize(loads, cluster.energies, cluster.path_losses)
-        results.append((cluster, order, loads, alloc))
+        results.append((cluster, order, loads, evaluate_schedule(order, cluster, Shannon())))
     return results
 
 
@@ -97,7 +91,7 @@ def _grid_oracle(loads, energies, path_losses, density=120):
     n = h.size
 
     def evaluate(times):
-        energy = tx_energy_vec(h[None, :], times) * d[None, :]
+        energy = tx_energy(h[None, :], times) * d[None, :]
         life = (e[None, :] / np.where(energy > 0, energy, np.inf)).min(axis=1)
         k = int(np.argmax(life))
         return float(life[k]), times[k]
@@ -134,13 +128,13 @@ def test_criterion_02_equalizer_certificate(criterion2_results):
     worst_sum = 0.0
     worst_spread = 0.0
     worst_grid = 0.0
-    for cluster, order, loads, alloc in criterion2_results:
-        worst_sum = max(worst_sum, abs(alloc.times.sum() - 1.0))
-        node_life = cluster.energies / alloc.per_node_energy
+    for cluster, order, loads, static in criterion2_results:
+        worst_sum = max(worst_sum, abs(static.times.sum() - 1.0))
+        node_life = cluster.energies / static.per_slot_energy
         worst_spread = max(worst_spread, float(np.ptp(node_life) / node_life.mean()))
         if cluster.n <= 3:
             oracle = _grid_oracle(loads, cluster.energies, cluster.path_losses)
-            worst_grid = max(worst_grid, abs(alloc.lifetime - oracle) / oracle)
+            worst_grid = max(worst_grid, abs(static.lifetime - oracle) / oracle)
     ok = worst_sum <= 1e-9 and worst_spread <= 1e-6 and worst_grid <= 1e-4
     record_criterion(
         2,
@@ -371,7 +365,7 @@ def test_criterion_08_final_pair_swap_ordering():
 def test_criterion_09_simulator_agreement(criterion2_results):
     static_ok = True
     dynamic_ok = True
-    for cluster, order, loads, alloc in criterion2_results:
+    for cluster, order, loads, _ in criterion2_results:
         # Batteries scaled so the schedule's lifetime sits at 20.5 slots:
         # half-integral, so floor() is unambiguous rather than a coin flip on
         # root-finder residue. Per-slot energies are invariant under uniform
@@ -429,9 +423,8 @@ def test_criterion_10_geometry_oracles():
         cluster = make_cluster(np.random.default_rng(9000 + k), 2, model="gauss", equal_energy=True)
         report = equal_energy_crossing(cluster)
         for crossing in report.crossings:
-            loads = cluster.schedule_loads(crossing.order).loads_by_node(2)
-            alloc = equalize(loads, cluster.energies, cluster.path_losses)
-            if not np.allclose(crossing.point, alloc.per_node_energy, rtol=1e-8):
+            static = evaluate_schedule(crossing.order, cluster, Shannon())
+            if not np.allclose(crossing.point, static.per_slot_energy, rtol=1e-8):
                 crossing_ok = False
 
     # (c) low-rate regime: the point closest to the equal-energy diagonal

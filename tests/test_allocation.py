@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from clusterlife import equalize, equalize_batch, lifetime_srra, lifetime_srra_batch, tx_energy
-from clusterlife.allocation import lifetime_srra_batch as _batch
-from clusterlife.energy import LN2, tx_energy_vec
+from clusterlife import equalize_batch, lifetime_srra_batch, tx_energy
+from clusterlife.energy import LN2
 
 # Equalized lifetime for loads (2, 1), E = (1, 1), d = (1, 1); frozen from a
 # 50-digit bisection on t(2, 1/L) + t(1, 1/L) = 1.
 EQ21_LIFETIME = 0.25200314752575131697
 EQ21_T0 = 0.75699809063558394399
+
+
+def equalize_one(loads, energies, path_losses):
+    """One-row equalize_batch: (lifetime, times, per-slot energy by node)."""
+    loads = np.asarray(loads, dtype=float)
+    lifetimes, times = equalize_batch(loads[None, :], energies, path_losses)
+    return float(lifetimes[0]), times[0], tx_energy(loads, times[0]) * np.asarray(path_losses, dtype=float)
 
 
 def grid_oracle(loads, energies, path_losses, steps=4001):
@@ -22,7 +28,7 @@ def grid_oracle(loads, energies, path_losses, steps=4001):
     def best_on(lo, hi):
         t0 = np.linspace(lo, hi, steps)
         times = np.stack([t0, 1 - t0], axis=1)
-        energy = tx_energy_vec(h[None, :], times) * d[None, :]
+        energy = tx_energy(h[None, :], times) * d[None, :]
         life = (e[None, :] / np.where(energy > 0, energy, np.inf)).min(axis=1)
         k = int(np.argmax(life))
         return float(life[k]), float(t0[k])
@@ -39,18 +45,18 @@ def grid_oracle(loads, energies, path_losses, steps=4001):
 
 
 def test_symmetric_two_nodes():
-    res = equalize([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    assert res.times == pytest.approx([0.5, 0.5], abs=1e-9)
-    assert res.lifetime == pytest.approx(2.0 / 3.0, rel=1e-9)
-    assert res.per_node_energy == pytest.approx([1.5, 1.5], rel=1e-9)
-    assert not res.infinite
+    lifetime, times, energy = equalize_one([1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    assert times == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert lifetime == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert energy == pytest.approx([1.5, 1.5], rel=1e-9)
+    assert not math.isinf(lifetime)
 
 
 def test_loads_2_1_frozen_oracle():
-    res = equalize([2.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    assert res.lifetime == pytest.approx(EQ21_LIFETIME, rel=1e-9)
-    assert res.times[0] == pytest.approx(EQ21_T0, rel=1e-8)
-    assert res.times.sum() == pytest.approx(1.0, abs=1e-9)
+    lifetime, times, _ = equalize_one([2.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+    assert lifetime == pytest.approx(EQ21_LIFETIME, rel=1e-9)
+    assert times[0] == pytest.approx(EQ21_T0, rel=1e-8)
+    assert times.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_matches_grid_oracle():
@@ -59,8 +65,8 @@ def test_matches_grid_oracle():
         loads = rng.uniform(0.3, 5.0, size=2)
         e = rng.uniform(0.5, 2.0, size=2)
         d = rng.uniform(0.5, 3.0, size=2)
-        res = equalize(loads, e, d)
-        assert res.lifetime == pytest.approx(grid_oracle(loads, e, d), rel=1e-4)
+        lifetime, _, _ = equalize_one(loads, e, d)
+        assert lifetime == pytest.approx(grid_oracle(loads, e, d), rel=1e-4)
 
 
 def test_equal_node_lifetimes():
@@ -70,28 +76,27 @@ def test_equal_node_lifetimes():
         loads = rng.uniform(0.2, 6.0, size=n)
         e = rng.uniform(0.5, 2.0, size=n)
         d = rng.uniform(0.5, 3.0, size=n)
-        res = equalize(loads, e, d)
-        node_lifetimes = e / res.per_node_energy
-        assert res.times.sum() == pytest.approx(1.0, abs=1e-9)
+        lifetime, times, energy = equalize_one(loads, e, d)
+        node_lifetimes = e / energy
+        assert times.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.ptp(node_lifetimes) <= 1e-6 * node_lifetimes.mean()
-        assert node_lifetimes[0] == pytest.approx(res.lifetime, rel=1e-6)
+        assert node_lifetimes[0] == pytest.approx(lifetime, rel=1e-6)
 
 
 def test_zero_load_nodes_get_zero_time():
-    res = equalize([2.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert res.times[1] == 0.0
-    assert res.per_node_energy[1] == 0.0
-    assert res.times.sum() == pytest.approx(1.0, abs=1e-9)
+    lifetime, times, energy = equalize_one([2.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    assert times[1] == 0.0
+    assert energy[1] == 0.0
+    assert times.sum() == pytest.approx(1.0, abs=1e-9)
     # the zero-load node frees time, so lifetime beats the 3-active case
-    res3 = equalize([2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-    assert res.lifetime > res3.lifetime
+    lifetime3, _, _ = equalize_one([2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    assert lifetime > lifetime3
 
 
 def test_all_zero_loads_is_infinite():
-    res = equalize([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
-    assert res.infinite
-    assert math.isinf(res.lifetime)
-    assert np.all(res.times == 0.0)
+    lifetime, times, _ = equalize_one([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    assert math.isinf(lifetime)
+    assert np.all(times == 0.0)
 
 
 def test_batch_matches_scalar():
@@ -103,9 +108,9 @@ def test_batch_matches_scalar():
     lifetimes, times = equalize_batch(loads, e, d)
     assert math.isinf(lifetimes[3])
     for r in range(0, 40, 5):
-        single = equalize(loads[r], e, d)
-        assert lifetimes[r] == pytest.approx(single.lifetime, rel=1e-10)
-        assert times[r] == pytest.approx(single.times, rel=1e-8, abs=1e-12)
+        single_lifetime, single_times, _ = equalize_one(loads[r], e, d)
+        assert lifetimes[r] == pytest.approx(single_lifetime, rel=1e-10)
+        assert times[r] == pytest.approx(single_times, rel=1e-8, abs=1e-12)
 
 
 def test_batch_validation():
@@ -114,33 +119,29 @@ def test_batch_validation():
     with pytest.raises(ValueError):
         equalize_batch(-np.ones((1, 2)), np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
-        equalize([1.0], [0.0], [1.0])
+        equalize_batch([[1.0]], [0.0], [1.0])
 
 
 def test_lifetime_is_consistent_with_energy_curve():
-    res = equalize([3.0, 1.5], [2.0, 0.7], [1.3, 2.1])
+    lifetime, times, _ = equalize_one([3.0, 1.5], [2.0, 0.7], [1.3, 2.1])
     # battery / (per-slot energy) equals the lifetime for every active node
-    assert 2.0 / (tx_energy(3.0, float(res.times[0])) * 1.3) == pytest.approx(
-        res.lifetime, rel=1e-8
-    )
+    assert 2.0 / (tx_energy(3.0, float(times[0])) * 1.3) == pytest.approx(lifetime, rel=1e-8)
 
 
 def test_srra_min_ratio():
-    lifetime, bottleneck = lifetime_srra([2.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    assert lifetime == pytest.approx(1.0 / (2.0 * LN2), rel=1e-12)
-    assert bottleneck == 0
-    lifetime, bottleneck = lifetime_srra([2.0, 1.0], [1.0, 1.0], [1.0, 1.0], c=1.0)
+    lifetime = lifetime_srra_batch([[2.0, 1.0]], [1.0, 1.0], [1.0, 1.0])[0]
+    assert lifetime == pytest.approx(1.0 / (2.0 * LN2), rel=1e-12)  # node 0 bottlenecks
+    lifetime = lifetime_srra_batch([[2.0, 1.0]], [1.0, 1.0], [1.0, 1.0], c=1.0)[0]
     assert lifetime == pytest.approx(0.5)
 
 
 def test_srra_zero_loads():
-    lifetime, bottleneck = lifetime_srra([0.0, 1.0], [1.0, 1.0], [1.0, 1.0])
-    assert bottleneck == 1
-    lifetime, bottleneck = lifetime_srra([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    lifetime = lifetime_srra_batch([[0.0, 1.0]], [1.0, 1.0], [1.0, 1.0])[0]
+    assert lifetime == pytest.approx(1.0 / LN2, rel=1e-12)  # node 1 bottlenecks
+    lifetime = lifetime_srra_batch([[0.0, 0.0]], [1.0, 1.0], [1.0, 1.0])[0]
     assert math.isinf(lifetime)
-    assert bottleneck is None
     with pytest.raises(ValueError):
-        lifetime_srra([1.0], [1.0], [1.0], c=0.0)
+        lifetime_srra_batch([[1.0]], [1.0], [1.0], c=0.0)
 
 
 def test_srra_batch_matches_scalar():
@@ -150,4 +151,5 @@ def test_srra_batch_matches_scalar():
     d = rng.uniform(0.5, 3.0, size=3)
     batch = lifetime_srra_batch(loads, e, d)
     for r in range(30):
-        assert batch[r] == pytest.approx(lifetime_srra(loads[r], e, d)[0], rel=1e-12)
+        ratios = [e[k] / (LN2 * loads[r, k] * d[k]) for k in range(3) if loads[r, k] > 0]
+        assert batch[r] == pytest.approx(min(ratios), rel=1e-12)

@@ -13,6 +13,11 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 @pytest.fixture
 def scenario_file(tmp_path, capsys):
     path = tmp_path / "scn.json"
@@ -44,7 +49,7 @@ def test_eval_csv_has_twelve_significant_digits(scenario_file, tmp_path, capsys)
     )
     assert code == 0
     assert "lifetime:" in out
-    rows = list(csv.reader(out_csv.open()))
+    rows = read_csv(out_csv)
     assert rows[0] == ["node", "load_bits", "time", "per_slot_energy", "lifetime"]
     assert len(rows) == 5
     for cell in rows[1][1:]:
@@ -91,7 +96,7 @@ def test_dynamic_opt(scenario_file, tmp_path, capsys):
     stat = float(re.search(r"static_lifetime: ([\d.eE+-]+)", out).group(1))
     dyn = float(re.search(r"dynamic_lifetime: ([\d.eE+-]+)", out).group(1))
     assert dyn >= stat * (1 - 1e-9)
-    rows = list(csv.reader(out_csv.open()))
+    rows = read_csv(out_csv)
     assert rows[0] == ["schedule", "slots", "dynamic_lifetime", "static_lifetime"]
     assert len(rows) >= 2
 
@@ -105,7 +110,7 @@ def test_simulate_command(scenario_file, tmp_path, capsys):
     )
     assert code == 0
     assert "completed_slots:" in out and "first_dead:" in out
-    header = next(csv.reader(out_csv.open()))
+    header = read_csv(out_csv)[0]
     assert header[:2] == ["slot", "schedule"]
 
 
@@ -140,7 +145,7 @@ def test_geometry_export_srra_points(tmp_path, capsys):
         ["geometry-export", "--scenario", str(scn), "--out-dir", str(out_dir)], capsys
     )
     assert code == 0
-    rows = list(csv.reader((out_dir / "points.csv").open()))
+    rows = read_csv(out_dir / "points.csv")
     assert len(rows) == 7  # header + 3! schedules
 
 

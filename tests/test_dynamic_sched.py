@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,28 @@ def test_theorem_improvement_on_asymmetric_entropy_instance():
     assert report.witness_lifetime > report.static_lifetime + 1e-9
     r, s = report.witness
     assert 0 < r < 1 and 0 < s < 1
+
+
+def test_theorem4_witness_at_tiny_battery_scale():
+    # the 13% gain must show however small the batteries: the witness test
+    # is relative to the static lifetime, not an absolute 1e-9 margin
+    report = verify_theorem4(asymmetric_entropy_pair(energy=1e-9))
+    assert report.witness is not None
+    assert report.dynamic_lifetime > report.static_lifetime * 1.13
+
+
+def test_theorem4_static_baseline_is_brute_force():
+    # node 1 holds 1e-9 more battery, so polling it first is better by a
+    # relative 1e-9 that an absolute 1e-12 tie margin cannot see
+    base = asymmetric_entropy_pair(energy=1e-12)
+    nodes = [base.nodes[0], dataclasses.replace(base.nodes[1], energy=(1 + 1e-9) * 1e-12)]
+    cluster = ClusterSpec(nodes, base.correlation)
+    # solve_lp's division of column energies by 1e-12 batteries overflows on
+    # the costliest 64-sample columns; those columns never enter the basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_theorem4(cluster)
+    assert brute_force(cluster, Shannon()).order == (1, 0)
+    assert report.static_order == (1, 0)
 
 
 def test_verify_theorem4_validation():

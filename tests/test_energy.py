@@ -12,7 +12,7 @@ from clusterlife import (
     srra_error,
     tx_energy,
 )
-from clusterlife.energy import min_time_for_energy_vec, tx_energy_vec
+from clusterlife.energy import min_time_for_energy_vec
 
 # High-precision inverse values (independent 300-step bisection at 50 digits).
 INVERSE_ORACLE = [
@@ -62,14 +62,14 @@ def test_monotone_decreasing_and_convex_in_time():
     h = rng.uniform(0.1, 8.0, size=2000)
     x = rng.uniform(0.05, 5.0, size=2000)
     dx = 1e-3
-    f0 = tx_energy_vec(h, x)
-    f1 = tx_energy_vec(h, x + dx)
+    f0 = tx_energy(h, x)
+    f1 = tx_energy(h, x + dx)
     assert np.all(f1 < f0)
     # midpoint convexity on random bracket pairs
     x2 = x + rng.uniform(0.1, 2.0, size=x.size)
     mid = 0.5 * (x + x2)
     assert np.all(
-        tx_energy_vec(h, mid) <= 0.5 * (tx_energy_vec(h, x) + tx_energy_vec(h, x2)) + 1e-12
+        tx_energy(h, mid) <= 0.5 * (tx_energy(h, x) + tx_energy(h, x2)) + 1e-12
     )
 
 
@@ -114,7 +114,7 @@ def test_vectorized_inverse_matches_scalar():
     for i in range(0, 500, 7):
         assert t_vec[i] == pytest.approx(min_time_for_energy(float(h[i]), float(e[i])), rel=1e-10)
     # full-batch roundtrip
-    assert np.allclose(tx_energy_vec(h, t_vec), e, rtol=1e-8)
+    assert np.allclose(tx_energy(h, t_vec), e, rtol=1e-8)
 
 
 def test_vectorized_inverse_zero_load_and_infeasible():

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from clusterlife import (
     GaussianField,
     GuardError,
     NodeSpec,
+    Shannon,
     Srra,
     ValidationError,
     best_over_all_m,
@@ -16,7 +15,7 @@ from clusterlife import (
     brute_force,
     equal_energy_crossing,
     equal_line_alignment,
-    equalize,
+    evaluate_schedule,
     hull_2d,
     lifetime_from_weights,
     mcn,
@@ -116,6 +115,14 @@ def test_best_over_subsets_worked_symmetric_instance():
         best_over_subsets(pts, energies, 0)
 
 
+def test_best_over_subsets_at_tiny_battery_scale():
+    # lifetimes of order 1e-14 still rank: the third point is clearly best
+    pts = np.array([[3.0, 1.0], [1.0, 3.0], [2.2, 2.2]])
+    result = best_over_subsets(pts, 1e-13 * np.ones(2), 1)
+    assert result.subset == (2,)
+    assert result.lifetime == pytest.approx(1e-13 / 2.2, rel=1e-12)
+
+
 def test_best_single_point_is_best_static_and_mixtures_bounded_by_lp():
     # the mixture pipeline can never beat the cooperation LP over the same
     # columns, and its m=1 value is the best static point's lifetime
@@ -165,10 +172,9 @@ def test_crossing_matches_equalize_with_equal_batteries():
             )
             report = equal_energy_crossing(cluster)
             for crossing in report.crossings:
-                loads = cluster.schedule_loads(crossing.order).loads_by_node(2)
-                alloc = equalize(loads, cluster.energies, cluster.path_losses)
+                static = evaluate_schedule(crossing.order, cluster, Shannon())
                 assert crossing.point == pytest.approx(
-                    alloc.per_node_energy, rel=1e-8
+                    static.per_slot_energy, rel=1e-8
                 )
     with pytest.raises(ValidationError):
         equal_energy_crossing(make_cluster(np.random.default_rng(0), 3, model="gauss"))

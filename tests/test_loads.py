@@ -10,16 +10,7 @@ from hypothesis import strategies as st
 from clusterlife import ClusterSpec, GaussianField, ModelDegeneracyError, NodeSpec, ValidationError
 from clusterlife.model import _LOADS_BLOCK
 from clusterlife.static_sched import all_orders
-from conftest import make_cluster
-
-
-def cluster_of(model):
-    return st.builds(
-        lambda seed, n: make_cluster(np.random.default_rng(seed), n, model=model),
-        st.integers(0, 2**32 - 1),
-        st.integers(2, 6),
-    )
-
+from conftest import cluster_of, make_cluster
 
 clusters = st.one_of(cluster_of("bit"), cluster_of("gauss"))
 checked = settings(max_examples=60, deadline=None)

@@ -7,16 +7,15 @@ import pytest
 from clusterlife import (
     BitDistance,
     ClusterSpec,
-    GaussianField,
     GuardError,
     NodeSpec,
     Shannon,
     Srra,
     ValidationError,
     brute_force,
-    equalize,
+    equalize_batch,
     evaluate_schedule,
-    lifetime_srra,
+    lifetime_srra_batch,
     mcn,
     nnn,
     path_length,
@@ -30,11 +29,11 @@ def naive_brute(cluster, mode):
     """Independent exhaustive oracle built directly on the public primitives."""
     best = None
     for order in itertools.permutations(range(cluster.n)):
-        loads = cluster.schedule_loads(order).loads_by_node(cluster.n)
+        loads = cluster.schedule_loads(order).loads_by_node(cluster.n)[None, :]
         if isinstance(mode, Srra):
-            lifetime, _ = lifetime_srra(loads, cluster.energies, cluster.path_losses, c=mode.c)
+            lifetime = lifetime_srra_batch(loads, cluster.energies, cluster.path_losses, c=mode.c)[0]
         else:
-            lifetime = equalize(loads, cluster.energies, cluster.path_losses).lifetime
+            lifetime = equalize_batch(loads, cluster.energies, cluster.path_losses)[0][0]
         if best is None or lifetime > best[0] + 1e-12:
             best = (lifetime, order)
     return best
@@ -43,12 +42,12 @@ def naive_brute(cluster, mode):
 def test_evaluate_schedule_shannon():
     cluster = make_cluster(np.random.default_rng(0), 3, model="gauss")
     res = evaluate_schedule((2, 0, 1), cluster, Shannon())
-    ref = equalize(
-        cluster.schedule_loads((2, 0, 1)).loads_by_node(3), cluster.energies, cluster.path_losses
+    ref_lifetimes, _ = equalize_batch(
+        cluster.schedule_loads((2, 0, 1)).loads_by_node(3)[None, :], cluster.energies, cluster.path_losses
     )
-    assert res.lifetime == pytest.approx(ref.lifetime, rel=1e-12)
+    assert res.lifetime == pytest.approx(ref_lifetimes[0], rel=1e-12)
     assert res.order == (2, 0, 1)
-    assert res.allocation is not None and res.bottleneck is None
+    assert res.times is not None and res.bottleneck is None
 
 
 def test_evaluate_schedule_srra():
@@ -56,9 +55,10 @@ def test_evaluate_schedule_srra():
     mode = Srra()
     res = evaluate_schedule((0, 1, 2), cluster, mode)
     loads = cluster.schedule_loads((0, 1, 2)).loads_by_node(3)
-    lifetime, bottleneck = lifetime_srra(loads, cluster.energies, cluster.path_losses, c=mode.c)
+    lifetime = lifetime_srra_batch(loads[None, :], cluster.energies, cluster.path_losses, c=mode.c)[0]
+    bottleneck = int(np.argmin(cluster.energies / (mode.c * loads * cluster.path_losses)))
     assert res.lifetime == pytest.approx(lifetime, rel=1e-12)
-    assert res.bottleneck == bottleneck and res.allocation is None
+    assert res.bottleneck == bottleneck and res.times is None
     assert res.per_slot_energy == pytest.approx(mode.c * loads * cluster.path_losses, rel=1e-12)
 
 
