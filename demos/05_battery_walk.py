@@ -42,7 +42,7 @@ print(f"static plan, order {static.order}")
 print(f"  analytic lifetime  L = {static.lifetime:.4f}")
 print(f"  simulated slots      = {trace.completed_slots} (floor(L) = {math.floor(static.lifetime)})")
 print(f"  first node unable to pay slot {trace.completed_slots + 1}: node {trace.first_dead}")
-last = trace.records[-1]
+*_, last = trace.records()
 print(f"  batteries after the last slot: {np.array2string(last.remaining, precision=3)}")
 
 print()

@@ -230,15 +230,10 @@ def cmd_simulate(args):
     print(f"completed_slots: {trace.completed_slots}")
     print(f"first_dead: {trace.first_dead if trace.first_dead is not None else 'none'}")
     if args.csv:
-        rows = [
-            (
-                str(rec.slot),
-                "-".join(str(i) for i in rec.order),
-            )
-            + tuple(rec.energy_spent)
-            + tuple(rec.remaining)
-            for rec in trace.records
-        ]
+        rows = (
+            (str(rec.slot), "-".join(str(i) for i in rec.order)) + tuple(rec.energy_spent) + tuple(rec.remaining)
+            for rec in trace.records()
+        )
         header = (
             ["slot", "schedule"]
             + [f"spent{k}" for k in range(cluster.n)]

@@ -157,7 +157,11 @@ def solve_lp(columns, energies) -> DynamicPlan:
     # count variable (undone on extraction), but it keeps every structural
     # entry in (0, 1] even when sampled allocations cost wildly more energy
     # than the equalized one, which a fixed pivot tolerance cannot survive.
-    a_scaled = a / e[:, None]
+    with np.errstate(over="ignore"):
+        a_scaled = a / e[:, None]
+    # A column that overflows here lasts under 1e-308 slots: it stays out, at zero slots.
+    kept = np.nonzero(np.all(np.isfinite(a_scaled), axis=0))[0]
+    a_scaled, m = a_scaled[:, kept], kept.size  # m: structural columns in the tableau
     col_scale = np.max(a_scaled, axis=0)
     a_scaled = a_scaled / col_scale[None, :]
 
@@ -166,7 +170,7 @@ def solve_lp(columns, energies) -> DynamicPlan:
     # Normalizing the objective keeps the reduced-cost test well-scaled; the
     # lifetime is recovered from tau, not from the objective row.
     obj = 1.0 / col_scale
-    cost = np.concatenate([obj / obj.max(), np.zeros(n)])
+    cost = np.concatenate([obj / obj.max(initial=0.0), np.zeros(n)])
     basis = list(range(m, m + n))
     for _ in range(200000):
         cb = cost[basis]
@@ -190,7 +194,7 @@ def solve_lp(columns, energies) -> DynamicPlan:
                     leave = i
         if leave < 0:
             # Unbounded direction; only possible through a zero-energy column.
-            tau = np.zeros(m)
+            tau = np.zeros(len(columns))
             return DynamicPlan(tuple(columns), tau, math.inf, tuple())
         piv = tab[leave, enter]
         tab[leave] /= piv
@@ -209,10 +213,10 @@ def solve_lp(columns, energies) -> DynamicPlan:
         xb = np.linalg.solve(basis_matrix, np.ones(n))
     except np.linalg.LinAlgError:
         pass  # keep the tableau values; feasibility is re-checked below
-    tau = np.zeros(m)
+    tau = np.zeros(len(columns))
     for i, b in enumerate(basis):
         if b < m:
-            tau[b] = max(float(xb[i]), 0.0) / col_scale[b]
+            tau[kept[b]] = max(float(xb[i]), 0.0) / col_scale[b]
     lifetime = float(tau.sum())
     used = a @ tau
     if np.any(used > e * (1 + _FEAS_TOL) + _FEAS_TOL):

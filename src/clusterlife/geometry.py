@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Srra
+from .energy import Srra, tx_energy
 from .errors import GuardError, ValidationError
 from .model import ClusterSpec
 from . import static_sched
@@ -32,12 +32,6 @@ class EnergyPoint:
     energy: np.ndarray  # by node id
     order: tuple[int, ...]
     times: np.ndarray | None  # by polling position; None for SRRA points
-
-
-def _point_for_times(cluster: ClusterSpec, order, times_pos) -> EnergyPoint:
-    times_pos = np.asarray(times_pos, dtype=float)
-    _, energy = static_sched.split_energy(cluster, [order], times_pos[None, :])
-    return EnergyPoint(energy=energy[0, 0], order=tuple(order), times=times_pos)
 
 
 def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: float = 1e-4) -> list[EnergyPoint]:
@@ -202,9 +196,15 @@ def equal_energy_crossing(cluster: ClusterSpec, orders=((0, 1), (1, 0))) -> Cros
         raise ValidationError("equal_energy_crossing requires exactly two nodes")
     crossings = []
     for order in orders:
+        loads = cluster.loads(np.array([order]))[0]  # fixed along the curve
+        node_of = np.argsort(order)  # inverse permutation: position of each node id
+
+        def energy(t):
+            return tx_energy(loads, np.array([t, 1.0 - t]))[node_of] * cluster.path_losses
+
         def diff(t):
-            pt = _point_for_times(cluster, order, np.array([t, 1.0 - t]))
-            return pt.energy[0] - pt.energy[1]
+            e0, e1 = energy(t)
+            return e0 - e1
 
         lo, hi = 1e-9, 1.0 - 1e-9
         d_lo, d_hi = diff(lo), diff(hi)
@@ -224,14 +224,9 @@ def equal_energy_crossing(cluster: ClusterSpec, orders=((0, 1), (1, 0))) -> Cros
                 else:
                     lo = mid
             t_star = 0.5 * (lo + hi)
-        pt = _point_for_times(cluster, order, np.array([t_star, 1.0 - t_star]))
+        point = energy(t_star)
         crossings.append(
-            Crossing(
-                order=tuple(order),
-                t_first=t_star,
-                point=pt.energy,
-                origin_distance=float(np.linalg.norm(pt.energy)),
-            )
+            Crossing(order=tuple(order), t_first=t_star, point=point, origin_distance=float(np.linalg.norm(point)))
         )
     winner = min(crossings, key=lambda c: (c.origin_distance, c.order)).order
     return CrossingReport(crossings=tuple(crossings), winner=winner)

@@ -4,7 +4,9 @@ Analytic lifetimes treat the slot count as a real number; the simulator
 executes whole slots against double-precision batteries and reports how many
 actually complete. A static plan repeats one per-slot cost vector until some
 node cannot pay; a dynamic plan runs its columns largest-slot-count first
-(floors), then tries each column once more while batteries allow.
+(floors), then tries each column once more while batteries allow. Both
+drain the batteries in fixed blocks of slots and keep run-length segments,
+so memory stays bounded however many slots complete.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .static_sched import StaticResult
 # root-finder residue in the analytic allocations.
 FEASIBILITY_SLACK = 1e-9
 
+# Slots drained per block by the walk and by the record replay.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SlotRecord:
@@ -32,20 +37,62 @@ class SlotRecord:
     remaining: np.ndarray
 
 
+def _blocks(remaining: np.ndarray, cost: np.ndarray, count: int):
+    """Drain ``count`` slots in (rows + 1, N) blocks: batteries before each slot, then after the last."""
+    while count > 0:
+        rows = min(_BLOCK, count)
+        steps = np.empty((rows + 1, remaining.size))
+        steps[0] = remaining
+        steps[1:] = cost
+        # accumulate runs row after row: the bits of repeated ``remaining - cost``
+        steps = np.subtract.accumulate(steps, axis=0)
+        steps.flags.writeable = False
+        yield steps
+        remaining, count = steps[-1], count - rows
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    records: tuple[SlotRecord, ...]
+    start: np.ndarray  # batteries before the first slot
+    segments: tuple[tuple[tuple[int, ...], np.ndarray, int], ...]  # (order, per-slot cost, slot count) runs
     completed_slots: int
     first_dead: int | None  # smallest node id that blocked the next slot
 
+    def records(self):
+        """Replay the per-slot records from the segments, one block at a time."""
+        remaining, slot = self.start, 0
+        for order, cost, count in self.segments:
+            for steps in _blocks(remaining, cost, count):
+                for remaining in steps[1:]:
+                    slot += 1
+                    yield SlotRecord(slot=slot, order=order, energy_spent=cost, remaining=remaining)
 
-def _can_pay(remaining: np.ndarray, cost: np.ndarray) -> bool:
-    return bool(np.all(remaining >= cost - FEASIBILITY_SLACK))
 
-
-def _blocking_node(remaining: np.ndarray, cost: np.ndarray) -> int:
-    short = np.nonzero(remaining < cost - FEASIBILITY_SLACK)[0]
-    return int(short[0])
+def _walk(cluster: ClusterSpec, columns, max_slots: int) -> SimTrace:
+    """Run each (order, cost, count) column to its count or first unpaid slot; guarded at ``max_slots``."""
+    start = remaining = cluster.energies.astype(float)
+    segments, slot, first_dead = [], 0, None
+    for order, cost, count in columns:
+        cost = np.array(cost, dtype=float)
+        cost.flags.writeable = False
+        need = cost - FEASIBILITY_SLACK
+        paid = 0
+        for steps in _blocks(remaining, cost, min(count, max_slots - slot)):
+            paying = np.all(steps[:-1] >= need, axis=1)
+            done = paying.size if paying.all() else int(np.argmin(paying))
+            remaining = steps[done]
+            paid += done
+            if done < paying.size:
+                if first_dead is None:
+                    first_dead = int(np.nonzero(remaining < need)[0][0])
+                break
+        else:
+            if paid < count:  # every slot up to the cap was paid and the column wants more
+                raise GuardError(f"simulation exceeded {max_slots} slots")
+        if paid:
+            segments.append((order, cost, paid))
+        slot += paid
+    return SimTrace(start, tuple(segments), slot, first_dead)
 
 
 def simulate_static(result: StaticResult, cluster: ClusterSpec, max_slots: int = 10**7) -> SimTrace:
@@ -55,22 +102,7 @@ def simulate_static(result: StaticResult, cluster: ClusterSpec, max_slots: int =
         raise ValidationError("plan does not match the cluster's node count")
     if not np.any(cost > 0):
         raise GuardError("plan consumes no energy; lifetime is unbounded")
-    remaining = cluster.energies.astype(float).copy()
-    records = []
-    slot = 0
-    while slot < max_slots and _can_pay(remaining, cost):
-        remaining = remaining - cost
-        slot += 1
-        records.append(
-            SlotRecord(slot=slot, order=result.order, energy_spent=cost.copy(), remaining=remaining.copy())
-        )
-    if slot >= max_slots:
-        raise GuardError(f"simulation exceeded {max_slots} slots")
-    return SimTrace(
-        records=tuple(records),
-        completed_slots=slot,
-        first_dead=_blocking_node(remaining, cost),
-    )
+    return _walk(cluster, [(result.order, cost, math.inf)], max_slots)
 
 
 def simulate_dynamic(plan: DynamicPlan, cluster: ClusterSpec, max_slots: int = 10**7) -> SimTrace:
@@ -78,40 +110,13 @@ def simulate_dynamic(plan: DynamicPlan, cluster: ClusterSpec, max_slots: int = 1
     if plan.infinite:
         raise GuardError("plan has unbounded lifetime; nothing to simulate")
     support = plan.support()
-    if not support:
-        return SimTrace(records=(), completed_slots=0, first_dead=None)
     for col, _ in support:
         if col.energy.size != cluster.n:
             raise ValidationError("plan does not match the cluster's node count")
     # Largest slot count first; ties broken by schedule order for determinism.
     support.sort(key=lambda item: (-item[1], item[0].order))
-    remaining = cluster.energies.astype(float).copy()
-    records = []
-    slot = 0
-    first_dead = None
-
-    def run_column(col, count):
-        nonlocal slot, remaining, first_dead
-        cost = col.energy
-        for _ in range(count):
-            if slot >= max_slots:
-                raise GuardError(f"simulation exceeded {max_slots} slots")
-            if not _can_pay(remaining, cost):
-                if first_dead is None:
-                    first_dead = _blocking_node(remaining, cost)
-                return False
-            remaining = remaining - cost
-            slot += 1
-            records.append(
-                SlotRecord(slot=slot, order=col.order, energy_spent=cost.copy(), remaining=remaining.copy())
-            )
-        return True
-
-    for col, tau in support:
-        run_column(col, math.floor(tau))
-    for col, _ in support:
-        run_column(col, 1)
-    return SimTrace(records=tuple(records), completed_slots=slot, first_dead=first_dead)
+    floors = [(col.order, col.energy, math.floor(tau)) for col, tau in support]
+    return _walk(cluster, floors + [(order, cost, 1) for order, cost, _ in floors], max_slots)
 
 
 def simulate(plan, cluster: ClusterSpec) -> SimTrace:

@@ -140,6 +140,21 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode, threads: int | None = No
     return evaluate_schedule(order, cluster, mode, method="brute")
 
 
+def _greedy_chains(n: int, gap) -> list[list[int]]:
+    """One chain per start node, each grown by the remaining node i with the
+    smallest ``gap(chain, i)``; ties to the smallest id."""
+    chains = []
+    for start in range(n):
+        chain = [start]
+        rest = set(range(n)) - {start}
+        while rest:
+            nxt = min(rest, key=lambda i: (gap(chain, i), i))
+            chain.append(nxt)
+            rest.remove(nxt)
+        chains.append(chain)
+    return chains
+
+
 def nnn(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     """Nearest Neighbor Next: greedy minimum distance to the polled prefix.
 
@@ -150,16 +165,7 @@ def nnn(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     if not isinstance(cluster.correlation, BitDistance):
         raise ValidationError("nnn requires a BitDistance correlation model")
     d = cluster.distances
-    candidates = []
-    for start in range(cluster.n):
-        order = [start]
-        remaining = set(range(cluster.n)) - {start}
-        while remaining:
-            best = min(remaining, key=lambda i: (d[i, order].min(), i))
-            order.append(best)
-            remaining.remove(best)
-        candidates.append(tuple(order))
-    orders = np.array(candidates, dtype=int)
+    orders = np.array(_greedy_chains(cluster.n, lambda chain, i: d[i, chain].min()), dtype=int)
     lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
     order, _ = _best_order(orders, lifetimes)
     return evaluate_schedule(order, cluster, mode, method="nnn")
@@ -211,15 +217,8 @@ def shp_heuristic(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     d = cluster.distances
     best_order = None
     best_len = np.inf
-    for start in range(cluster.n):
-        order = [start]
-        remaining = set(range(cluster.n)) - {start}
-        while remaining:
-            last = order[-1]
-            nxt = min(remaining, key=lambda i: (d[last, i], i))
-            order.append(nxt)
-            remaining.remove(nxt)
-        order = two_opt_path(order, d)
+    for chain in _greedy_chains(cluster.n, lambda chain, i: d[chain[-1], i]):
+        order = two_opt_path(chain, d)
         length = path_length(order, d)
         if length < best_len - 1e-12 or (
             abs(length - best_len) <= 1e-12 and (best_order is None or order < best_order)

@@ -102,6 +102,21 @@ def test_solve_lp_zero_column_is_unbounded():
     assert plan.infinite
 
 
+def test_solve_lp_keeps_overflowing_columns_at_zero_slots():
+    # 1e305 / 1e-5 overflows: that column lasts under 1e-308 slots, so it
+    # gets none and the LP is solved over the other columns
+    cols = [
+        Column(order=(0, 1), times=None, energy=np.array([1e305, 1.0])),
+        Column(order=(1, 0), times=None, energy=np.array([1e-7, 1e-7])),
+    ]
+    energies = np.array([1e-5, 1e-5])
+    plan = solve_lp(cols, energies)
+    assert plan.slot_counts[0] == 0.0
+    assert plan.lifetime == pytest.approx(100.0, rel=1e-12)
+    alone = solve_lp(cols[:1], energies)
+    assert alone.lifetime == 0.0 and list(alone.slot_counts) == [0.0]
+
+
 def test_solve_lp_validation():
     with pytest.raises(ValidationError):
         solve_lp([], np.array([1.0]))
@@ -185,10 +200,7 @@ def test_theorem4_static_baseline_is_brute_force():
     base = asymmetric_entropy_pair(energy=1e-12)
     nodes = [base.nodes[0], dataclasses.replace(base.nodes[1], energy=(1 + 1e-9) * 1e-12)]
     cluster = ClusterSpec(nodes, base.correlation)
-    # solve_lp's division of column energies by 1e-12 batteries overflows on
-    # the costliest 64-sample columns; those columns never enter the basis
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = verify_theorem4(cluster)
+    report = verify_theorem4(cluster)
     assert brute_force(cluster, Shannon()).order == (1, 0)
     assert report.static_order == (1, 0)
 
