@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import LN2, min_time_for_energy_vec
+from .energy import LN2, min_time_for_energy
 from .errors import NumericError
 
 # |sum(t) - 1| target for the outer bisection on L, and its iteration cap.
@@ -55,7 +55,7 @@ def equalize_batch(loads, energies, path_losses):
         # Required per-slot energy per node at candidate lifetime L, then the
         # minimal time achieving it; inactive nodes contribute nothing.
         budget = np.where(pos, ea / (lifetime[:, None] * da), np.inf)
-        t = min_time_for_energy_vec(np.where(pos, ha, 0.0), budget)
+        t = min_time_for_energy(np.where(pos, ha, 0.0), budget)
         return t
 
     # L must stay below every node's ratio E/(d*h*ln2), where required energy

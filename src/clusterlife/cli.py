@@ -22,6 +22,8 @@ from .errors import ClusterLifeError, GuardError, ValidationError
 from .model import Schedule
 
 _FMT = "{:.12g}"
+# --threads is still parsed so existing scripts keep running; nothing reads it.
+_THREADS_HELP = "accepted and ignored: the search runs in one batched call"
 
 
 def _fmt(x) -> str:
@@ -34,13 +36,6 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CLUSTERLIFE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _mode_override(scn: scenario.Scenario, name: str | None):
@@ -122,7 +117,7 @@ def cmd_static_opt(args):
     mode = _mode_override(scn, args.mode)
     cluster = scn.cluster
     if args.method == "brute":
-        result = static_sched.brute_force(cluster, mode, threads=args.threads)
+        result = static_sched.brute_force(cluster, mode)
     elif args.method == "nnn":
         result = static_sched.nnn(cluster, mode)
     elif args.method == "mcn":
@@ -144,7 +139,7 @@ def cmd_dynamic_opt(args):
     mode = _mode_override(scn, args.mode)
     cluster = scn.cluster
     samples = args.samples or int(scn.solver.get("samples_per_schedule", 8))
-    static_result = static_sched.brute_force(cluster, mode, threads=args.threads)
+    static_result = static_sched.brute_force(cluster, mode)
     plan = dynamic_sched.dynamic_lifetime(cluster, mode, samples_per_schedule=samples)
     print(f"static_lifetime: {_fmt(static_result.lifetime)}")
     print(f"dynamic_lifetime: {_fmt(plan.lifetime)}")
@@ -179,13 +174,12 @@ def cmd_geometry_export(args):
         return 0
     if cluster.n > 3:
         raise GuardError("geometry export supports N <= 3 in Shannon mode")
-    import itertools as _it
-
     all_points = []
-    for order in _it.permutations(range(cluster.n)):
+    for order in static_sched.all_orders(cluster.n).tolist():
         pts = geometry.surface_sample(order, cluster, grid_density=args.grid)
         label = "-".join(str(i) for i in order)
-        rows = [tuple(p.times) + tuple(p.energy) for p in pts]
+        # t{k} is the time of polling position k, as the curve was sampled
+        rows = [tuple(p.times[order]) + tuple(p.energy) for p in pts]
         header = [f"t{k}" for k in range(cluster.n)] + [f"e{k}" for k in range(cluster.n)]
         _write_csv(os.path.join(args.out_dir, f"curve_{label}.csv"), header, rows)
         all_points.extend(pts)
@@ -218,7 +212,7 @@ def cmd_simulate(args):
     mode = _mode_override(scn, args.mode)
     cluster = scn.cluster
     if args.plan == "static":
-        result = static_sched.brute_force(cluster, mode, threads=args.threads)
+        result = static_sched.brute_force(cluster, mode)
         trace = simulate_static(result, cluster)
         analytic = result.lifetime
     else:
@@ -278,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--scenario", required=True)
     so.add_argument("--method", choices=["brute", "nnn", "mcn", "shp"], default="brute")
     so.add_argument("--mode", choices=["shannon", "srra"])
-    so.add_argument("--threads", type=int, default=_default_threads())
+    so.add_argument("--threads", type=int, help=_THREADS_HELP)
     so.add_argument("--csv")
     so.set_defaults(func=cmd_static_opt)
 
@@ -286,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     dyn.add_argument("--scenario", required=True)
     dyn.add_argument("--mode", choices=["shannon", "srra"])
     dyn.add_argument("--samples", type=int, help="time-allocation samples per schedule")
-    dyn.add_argument("--threads", type=int, default=_default_threads())
+    dyn.add_argument("--threads", type=int, help=_THREADS_HELP)
     dyn.add_argument("--csv")
     dyn.set_defaults(func=cmd_dynamic_opt)
 
@@ -301,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--plan", choices=["static", "dynamic"], default="static")
     sim.add_argument("--mode", choices=["shannon", "srra"])
     sim.add_argument("--samples", type=int)
-    sim.add_argument("--threads", type=int, default=_default_threads())
+    sim.add_argument("--threads", type=int, help=_THREADS_HELP)
     sim.add_argument("--csv")
     sim.set_defaults(func=cmd_simulate)
 

@@ -146,7 +146,7 @@ def solve_lp(columns, energies) -> DynamicPlan:
     if not np.all(np.isfinite(a)):
         raise ValidationError("column energies must be finite")
     m = len(columns)
-    dead = np.max(a, axis=0) <= _PIVOT_TOL
+    dead = ~np.any(a > 0, axis=0)  # a column with no positive entry spends nothing
     if np.any(dead):
         tau = np.zeros(m)
         tau[np.argmax(dead)] = np.inf

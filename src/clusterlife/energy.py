@@ -21,10 +21,6 @@ from .errors import InfeasibleEnergyError, NumericError
 
 LN2 = math.log(2.0)
 
-# Relative tolerance and iteration cap for the bisection inverse.
-_INV_REL_TOL = 1e-12
-_INV_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class Shannon:
@@ -72,52 +68,26 @@ def srra_error(h: float, x: float) -> float:
     return tx_energy(h, x) - h * LN2
 
 
-def min_time_for_energy(h: float, e: float) -> float:
-    """Unique time t with tx_energy(h, t) == e, for e strictly above h*ln2.
+def min_time_for_energy(h, e):
+    """Inverse of tx_energy in time: the unique t with tx_energy(h, t) == e.
 
-    Bracketed bisection on t: f is strictly decreasing from +inf (t -> 0+)
-    to h*ln2 (t -> inf), so the bracket always contains exactly one root.
-    """
-    if h <= 0:
-        raise ValueError(f"bit load must be positive, got {h}")
-    if e <= h * LN2:
-        raise InfeasibleEnergyError(
-            f"per-slot energy {e} is at or below the asymptote h*ln2 = {h * LN2}"
-        )
-    hi = 1.0
-    while tx_energy(h, hi) > e:
-        hi *= 2.0
-    lo = hi
-    while tx_energy(h, lo) < e:
-        lo /= 2.0
-    for _ in range(_INV_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if tx_energy(h, mid) > e:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INV_REL_TOL * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
-def min_time_for_energy_vec(h: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of tx_energy in time, for batches of (h, e) pairs.
-
-    Substituting u = h*ln2/t turns f(h, t) = e into (exp(u) - 1)/u = e/(h*ln2),
-    a strictly increasing scalar equation. Its log, ln(expm1(u)) - ln(u),
-    stays representable for every double-precision ratio (for u > 40 it is
-    u - ln(u) to machine precision), so bisecting on ln(u) converges to full
-    precision regardless of how many orders of magnitude the ratio spans.
-    Agreement with the scalar bisection inverse is enforced by tests; entries
-    with h == 0 get t == 0.
+    Broadcasts over arrays; scalar inputs give a float. Entries with h == 0
+    get t == 0, and every other entry needs e strictly above the asymptote
+    h*ln2. Substituting u = h*ln2/t turns f(h, t) = e into
+    (exp(u) - 1)/u = e/(h*ln2), a strictly increasing scalar equation. Its
+    log, ln(expm1(u)) - ln(u), stays representable for every double-precision
+    ratio (for u > 40 it is u - ln(u) to machine precision), so bisecting on
+    ln(u) converges to full precision regardless of how many orders of
+    magnitude the ratio spans.
     """
     h = np.asarray(h, dtype=float)
     e = np.asarray(e, dtype=float)
+    if (h < 0).any():
+        raise ValueError("bit load must be nonnegative")
     t = np.zeros(np.broadcast(h, e).shape)
     active = h > 0
     if not np.any(active):
-        return t
+        return float(t) if t.ndim == 0 else t
     ha = np.broadcast_to(h, t.shape)[active]
     ea = np.broadcast_to(e, t.shape)[active]
     r = ea / (ha * LN2)
@@ -139,7 +109,7 @@ def min_time_for_energy_vec(h: np.ndarray, e: np.ndarray) -> np.ndarray:
         lo = np.where(above, lo, v)
     u = np.exp(0.5 * (lo + hi))
     if np.any(hi - lo > 1e-9):
-        raise NumericError("vectorized energy inverse failed to converge")
+        raise NumericError("energy inverse failed to converge")
     t[active] = ha * LN2 / u
-    return t
+    return float(t) if t.ndim == 0 else t
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamic_sched import Column, build_columns
 from .energy import Srra, tx_energy
 from .errors import GuardError, ValidationError
 from .model import ClusterSpec
@@ -25,21 +26,13 @@ _SUBSET_GUARD = 200000
 _MIN_NORM_MAX_POINTS = 16
 
 
-@dataclass(frozen=True)
-class EnergyPoint:
-    """A per-slot energy vector together with the schedule that produced it."""
-
-    energy: np.ndarray  # by node id
-    order: tuple[int, ...]
-    times: np.ndarray | None  # by polling position; None for SRRA points
-
-
-def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: float = 1e-4) -> list[EnergyPoint]:
-    """Energy points of one schedule on a deterministic simplex lattice.
+def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: float = 1e-4) -> list[Column]:
+    """Columns of one schedule on a deterministic simplex lattice of splits.
 
     For N = 2 the lattice is a 1-D sweep; in general it is the set of
-    compositions of ``grid_density`` into N positive parts. Every coordinate
-    keeps at least ``floor`` time so the energy stays finite.
+    compositions of ``grid_density`` into N positive parts, each giving the
+    time of one polling position. Every position keeps at least ``floor``
+    time so the energy stays finite. Column times are by node id.
     """
     order = tuple(order)
     n = cluster.n
@@ -49,8 +42,8 @@ def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: f
     for comp in _compositions(grid_density, n):
         t = np.maximum(np.array(comp, dtype=float) / grid_density, floor)
         times.append(t / t.sum())
-    _, energy = static_sched.split_energy(cluster, [order], np.array(times))
-    return [EnergyPoint(energy=e, order=order, times=t) for t, e in zip(times, energy[0])]
+    times, energy = static_sched.split_energy(cluster, [order], np.array(times))
+    return [Column(order=order, times=t, energy=e) for t, e in zip(times[0], energy[0])]
 
 
 def _compositions(total: int, parts: int):
@@ -63,13 +56,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def srra_points(cluster: ClusterSpec, mode: Srra) -> list[EnergyPoint]:
-    """The N! allocation-free energy points of the low-rate regime."""
+def srra_points(cluster: ClusterSpec, mode: Srra) -> list[Column]:
+    """The N! allocation-free columns of the low-rate regime."""
     if cluster.n > static_sched.BRUTE_FORCE_MAX_NODES:
         raise GuardError("full schedule enumeration is too large")
-    orders = static_sched.all_orders(cluster.n)
-    energy = static_sched.evaluate_orders(cluster, orders, mode).energy
-    return [EnergyPoint(energy=e, order=tuple(o.tolist()), times=None) for e, o in zip(energy, orders)]
+    return build_columns(cluster, mode, orders=static_sched.all_orders(cluster.n))
 
 
 def min_norm_weights(points) -> np.ndarray:
@@ -120,7 +111,7 @@ def min_norm_weights(points) -> np.ndarray:
 def _as_matrix(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
         return np.atleast_2d(np.asarray(points, dtype=float))
-    return np.array([pt.energy if isinstance(pt, EnergyPoint) else pt for pt in points], dtype=float)
+    return np.array([pt.energy if isinstance(pt, Column) else pt for pt in points], dtype=float)
 
 
 def lifetime_from_weights(points, r, energies) -> float:

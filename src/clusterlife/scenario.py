@@ -24,6 +24,8 @@ FORMAT_VERSION = 1
 
 _TOP_FIELDS = {"version", "base_station", "path_loss", "correlation", "energy_mode", "solver", "nodes"}
 _NODE_FIELDS = {"id", "x", "y", "energy", "path_loss"}
+# Only samples_per_schedule is read; grid_density and threads are accepted and
+# ignored so version-1 files that set them keep loading.
 _SOLVER_FIELDS = {"samples_per_schedule", "grid_density", "threads"}
 
 

@@ -11,7 +11,6 @@ time small.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,22 +120,14 @@ def all_orders(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=int)
 
 
-def brute_force(cluster: ClusterSpec, mode: EnergyMode, threads: int | None = None) -> StaticResult:
-    """Exhaustive search over all N! orders; guarded at N <= 8."""
+def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
+    """Exhaustive search over all N! orders in one ``evaluate_orders`` call; guarded at N <= 8."""
     if cluster.n > BRUTE_FORCE_MAX_NODES:
         raise GuardError(
             f"brute force is guarded at N <= {BRUTE_FORCE_MAX_NODES}, got N = {cluster.n}"
         )
     orders = all_orders(cluster.n)
-    if threads and threads > 1 and len(orders) >= cluster.n:
-        # Contiguous lexicographic blocks, one per first node; deterministic merge.
-        blocks = np.array_split(orders, min(threads * 2, len(orders)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda b: evaluate_orders(cluster, b, mode).lifetimes, blocks))
-        lifetimes = np.concatenate(results)
-    else:
-        lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
-    order, _ = _best_order(orders, lifetimes)
+    order, _ = _best_order(orders, evaluate_orders(cluster, orders, mode).lifetimes)
     return evaluate_schedule(order, cluster, mode, method="brute")
 
 

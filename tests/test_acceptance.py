@@ -25,14 +25,14 @@ from clusterlife import (
     equal_line_alignment,
     lifetime_by_schedule_count,
     mcn,
-    min_norm_weights,
     nnn,
     simulate_dynamic,
     simulate_static,
     srra_points,
     verify_theorem4,
 )
-from clusterlife.energy import min_time_for_energy_vec, tx_energy
+from clusterlife.energy import min_time_for_energy, tx_energy
+from clusterlife.geometry import min_norm_weights
 from clusterlife.static_sched import all_orders, evaluate_schedule
 from conftest import make_cluster, random_positions, record_criterion
 
@@ -52,7 +52,7 @@ def test_criterion_01_energy_function_suite():
     )
     blow_up = np.all(tx_energy(h, np.full(n, 1e-4)) > 1e8)
     asymptote = np.all(np.abs(tx_energy(h, np.full(n, 1e6)) - h * LN2) < 1e-5 * h)
-    t_back = min_time_for_energy_vec(h, f)
+    t_back = min_time_for_energy(h, f)
     roundtrip = np.allclose(t_back, x, rtol=1e-8)
 
     ok = monotone and convex and blow_up and asymptote and roundtrip
@@ -334,7 +334,7 @@ def test_criterion_08_final_pair_swap_ordering():
                 per_node_loads = np.empty(4)
                 per_node_loads[list(order)] = loads
                 e_budget = budgets / target
-                return float(min_time_for_energy_vec(per_node_loads, e_budget).sum())
+                return float(min_time_for_energy(per_node_loads, e_budget).sum())
 
             t1, t2 = total_time(o1, l1), total_time(o2, l2)
             comparisons += 1

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from clusterlife import equalize_batch, lifetime_srra_batch, tx_energy
+from clusterlife import tx_energy
+from clusterlife.allocation import equalize_batch, lifetime_srra_batch
 from clusterlife.energy import LN2
 
 # Equalized lifetime for loads (2, 1), E = (1, 1), d = (1, 1); frozen from a

@@ -172,14 +172,25 @@ def test_guard_errors_exit_3(tmp_path, capsys):
 
 
 def test_threads_env_var(scenario_file, capsys, monkeypatch):
-    monkeypatch.setenv("CLUSTERLIFE_THREADS", "2")
-    from clusterlife.cli import _default_threads
+    # CLUSTERLIFE_THREADS is not read: any value leaves the output as it is
+    plain = run(["static-opt", "--scenario", str(scenario_file)], capsys)
+    assert plain[0] == 0
+    for value in ("2", "junk"):
+        monkeypatch.setenv("CLUSTERLIFE_THREADS", value)
+        assert run(["static-opt", "--scenario", str(scenario_file)], capsys) == plain
 
-    assert _default_threads() == 2
+
+def test_threads_do_not_change_the_tie_rule(tmp_path, capsys, monkeypatch):
+    # near-tied orders on this scenario: the lexicographically first must win
+    # whatever --threads says
+    scn = tmp_path / "six.json"
+    assert run(["gen", "--seed", "0", "--nodes", "6", "--model", "bit", "--out", str(scn)], capsys)[0] == 0
+    plain = run(["static-opt", "--scenario", str(scn)], capsys)
+    assert plain[0] == 0 and "order: 4,2,0,1,3,5\n" in plain[1]
+    for threads in ("2", "4"):
+        assert run(["static-opt", "--scenario", str(scn), "--threads", threads], capsys) == plain
     monkeypatch.setenv("CLUSTERLIFE_THREADS", "junk")
-    assert _default_threads() == 1
-    code, _, _ = run(["static-opt", "--scenario", str(scenario_file)], capsys)
-    assert code == 0
+    assert run(["static-opt", "--scenario", str(scn)], capsys) == plain
 
 
 def test_mode_override(scenario_file, capsys):

@@ -15,14 +15,11 @@ from clusterlife import (
     Srra,
     ValidationError,
     brute_force,
-    build_columns,
     dynamic_lifetime,
     lifetime_by_schedule_count,
-    simplex_grid_samples,
-    solve_lp,
     verify_theorem4,
 )
-from clusterlife.dynamic_sched import Column
+from clusterlife.dynamic_sched import Column, build_columns, simplex_grid_samples, solve_lp
 from conftest import make_cluster
 
 
@@ -100,6 +97,29 @@ def test_solve_lp_zero_column_is_unbounded():
     ]
     plan = solve_lp(cols, np.array([1.0, 1.0]))
     assert plan.infinite
+
+
+def test_solve_lp_tiny_column_is_not_free():
+    # every entry is far below the pivot tolerance, yet the column lasts 100 slots
+    cols = [Column(order=(1, 0), times=None, energy=np.array([1e-12, 1e-12]))]
+    plan = solve_lp(cols, np.array([1e-10, 1e-10]))
+    assert plan.lifetime == pytest.approx(100.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [Srra(), Shannon()])
+def test_dynamic_lifetime_is_scale_free(mode):
+    # batteries and path losses scaled together by 1e-12 leave every lifetime unchanged
+    base = make_cluster(np.random.default_rng(1), 3)
+    factor = 100.5 / brute_force(base, mode).lifetime
+
+    def scaled(s):
+        nodes = [NodeSpec(nd.id, nd.position, nd.energy * factor * s, nd.path_loss * s) for nd in base.nodes]
+        return ClusterSpec(nodes, base.correlation)
+
+    unit = dynamic_lifetime(scaled(1.0), mode).lifetime
+    tiny = dynamic_lifetime(scaled(1e-12), mode).lifetime
+    assert unit == pytest.approx(137.46251473055864 if isinstance(mode, Srra) else 100.5, rel=1e-12)
+    assert tiny == pytest.approx(unit, rel=1e-12)
 
 
 def test_solve_lp_keeps_overflowing_columns_at_zero_slots():

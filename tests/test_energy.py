@@ -12,7 +12,6 @@ from clusterlife import (
     srra_error,
     tx_energy,
 )
-from clusterlife.energy import min_time_for_energy_vec
 
 # High-precision inverse values (independent 300-step bisection at 50 digits).
 INVERSE_ORACLE = [
@@ -50,7 +49,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         tx_energy(1.0, 0.0)
     with pytest.raises(ValueError):
-        min_time_for_energy(0.0, 1.0)
+        min_time_for_energy(-1.0, 1.0)
+    with pytest.raises(ValueError):
+        min_time_for_energy(np.array([1.0, -1e-300]), 2.0)
 
 
 def test_overflow_returns_inf():
@@ -104,25 +105,55 @@ def test_inverse_infeasible_at_or_below_asymptote():
         min_time_for_energy(2.0, 0.5)
 
 
+def bisect_time(h, e):
+    """Independent inverse: bracketed bisection directly on t, to 1e-12 relative width."""
+    hi = 1.0
+    while tx_energy(h, hi) > e:
+        hi *= 2.0
+    lo = hi
+    while tx_energy(h, lo) < e:
+        lo /= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if tx_energy(h, mid) > e:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def test_vectorized_inverse_matches_scalar():
     rng = np.random.default_rng(11)
     h = rng.uniform(0.05, 10.0, size=500)
     # budgets from slightly above the asymptote to astronomically large
     factor = np.exp(rng.uniform(np.log(1.0 + 1e-6), np.log(1e6), size=500))
     e = h * LN2 * factor
-    t_vec = min_time_for_energy_vec(h, e)
+    t_vec = min_time_for_energy(h, e)
     for i in range(0, 500, 7):
-        assert t_vec[i] == pytest.approx(min_time_for_energy(float(h[i]), float(e[i])), rel=1e-10)
+        assert t_vec[i] == pytest.approx(bisect_time(float(h[i]), float(e[i])), rel=1e-10)
     # full-batch roundtrip
     assert np.allclose(tx_energy(h, t_vec), e, rtol=1e-8)
 
 
+def test_scalar_inverse_is_the_array_element():
+    h = np.array([0.3, 2.5, 5.0])
+    e = np.array([0.5, 4.0, 4.0])
+    t_vec = min_time_for_energy(h, e)
+    for i in range(3):
+        t = min_time_for_energy(float(h[i]), float(e[i]))
+        assert type(t) is float and t == t_vec[i]
+    t_zero = min_time_for_energy(0.0, 1.0)
+    assert type(t_zero) is float and t_zero == 0.0
+
+
 def test_vectorized_inverse_zero_load_and_infeasible():
-    t = min_time_for_energy_vec(np.array([0.0, 1.0]), np.array([5.0, 2.0]))
+    t = min_time_for_energy(np.array([0.0, 1.0]), np.array([5.0, 2.0]))
     assert t[0] == 0.0
     assert t[1] == pytest.approx(0.37595947047969740568, rel=1e-10)
     with pytest.raises(InfeasibleEnergyError):
-        min_time_for_energy_vec(np.array([1.0]), np.array([0.5]))
+        min_time_for_energy(np.array([1.0]), np.array([0.5]))
 
 
 def test_mode_types():

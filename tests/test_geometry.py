@@ -11,18 +11,18 @@ from clusterlife import (
     Srra,
     ValidationError,
     best_over_all_m,
-    best_over_subsets,
     brute_force,
     equal_energy_crossing,
     equal_line_alignment,
     evaluate_schedule,
     hull_2d,
-    lifetime_from_weights,
     mcn,
-    min_norm_weights,
     srra_points,
     surface_sample,
+    tx_energy,
 )
+from clusterlife.dynamic_sched import Column, build_columns, solve_lp
+from clusterlife.geometry import best_over_subsets, lifetime_from_weights, min_norm_weights
 from conftest import make_cluster, two_node_cluster
 
 
@@ -36,6 +36,20 @@ def test_surface_sample_basics():
         assert p.order == (0, 1)
     with pytest.raises(ValidationError):
         surface_sample((0, 1), cluster, grid_density=1)
+
+
+def test_surface_sample_times_are_by_node_id():
+    # read in polling order, each column's times are one lattice point
+    cluster = make_cluster(np.random.default_rng(1), 3, model="gauss")
+    order = (2, 0, 1)
+    pts = surface_sample(order, cluster, grid_density=6)
+    lattice = sorted((a, b, 6 - a - b) for a in range(1, 5) for b in range(1, 6 - a))
+    assert len(pts) == len(lattice) == 10
+    for p, comp in zip(pts, lattice):
+        assert isinstance(p, Column) and p.order == order
+        assert p.times[list(order)] == pytest.approx(np.array(comp) / 6.0, abs=1e-15)
+        loads = cluster.schedule_loads(order).loads_by_node(3)
+        assert p.energy == pytest.approx(tx_energy(loads, p.times) * cluster.path_losses, rel=1e-12)
 
 
 def test_surface_is_convex_frontier_in_2d():
@@ -126,8 +140,6 @@ def test_best_over_subsets_at_tiny_battery_scale():
 def test_best_single_point_is_best_static_and_mixtures_bounded_by_lp():
     # the mixture pipeline can never beat the cooperation LP over the same
     # columns, and its m=1 value is the best static point's lifetime
-    from clusterlife import Srra, build_columns, solve_lp
-
     mode = Srra()
     for seed in range(5):
         cluster = make_cluster(np.random.default_rng(seed), 3, model="gauss")
@@ -214,6 +226,16 @@ def test_srra_points_enumeration():
         loads = cluster.schedule_loads(p.order).loads_by_node(3)
         assert p.energy == pytest.approx(mode.c * loads * cluster.path_losses, rel=1e-12)
         assert p.times is None
+
+
+def test_srra_points_are_the_srra_columns():
+    mode = Srra(c=0.9)
+    cluster = make_cluster(np.random.default_rng(4), 4, model="bit")
+    pts = srra_points(cluster, mode)
+    cols = build_columns(cluster, mode)
+    assert [p.order for p in pts] == [c.order for c in cols]
+    for p, c in zip(pts, cols):
+        assert isinstance(p, Column) and p.times is None and np.array_equal(p.energy, c.energy)
 
 
 def test_srra_equal_line_point_attains_mcn_lifetime_on_homogeneous_clusters():

@@ -10,13 +10,15 @@ from clusterlife import (
     Shannon,
     Srra,
     ValidationError,
+)
+from clusterlife.scenario import (
+    FORMAT_VERSION,
     dump_scenario,
     generate_scenario,
     load_scenario,
     parse_scenario,
     write_scenario,
 )
-from clusterlife.scenario import FORMAT_VERSION
 
 
 def minimal_doc(**overrides):
@@ -70,6 +72,13 @@ def test_unknown_fields_rejected_with_paths():
         parse_scenario(minimal_doc(correlation={"model": "bit_distance", "n": 4, "q": 1}))
     with pytest.raises(ValidationError, match="solver"):
         parse_scenario(minimal_doc(solver={"weird": 3}))
+
+
+def test_ignored_solver_fields_still_parse():
+    # version-1 files may set threads and grid_density; both are accepted and ignored
+    solver = {"samples_per_schedule": 4, "threads": 8, "grid_density": 20}
+    scn = parse_scenario(minimal_doc(solver=solver))
+    assert scn.solver == solver
 
 
 def test_version_and_required_fields():

@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -10,26 +9,21 @@ from hypothesis import strategies as st
 from clusterlife import (
     BitDistance,
     ClusterSpec,
-    DynamicPlan,
     GuardError,
     NodeSpec,
     Shannon,
-    SimTrace,
     Srra,
     ValidationError,
     brute_force,
     dynamic_lifetime,
-    simulate,
     simulate_dynamic,
     simulate_static,
 )
-from clusterlife.dynamic_sched import Column
-from clusterlife.simulate import FEASIBILITY_SLACK
+import clusterlife.simulate as simulate_module
+from clusterlife.dynamic_sched import Column, DynamicPlan
+from clusterlife.simulate import FEASIBILITY_SLACK, SimTrace, simulate
 from clusterlife.static_sched import StaticResult
 from conftest import make_cluster, two_node_cluster
-
-# the package exports a function of the same name
-simulate_module = importlib.import_module("clusterlife.simulate")
 
 
 def manual_static_result(order, per_slot):

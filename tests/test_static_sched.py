@@ -13,15 +13,12 @@ from clusterlife import (
     Srra,
     ValidationError,
     brute_force,
-    equalize_batch,
     evaluate_schedule,
-    lifetime_srra_batch,
     mcn,
     nnn,
-    path_length,
-    shp_heuristic,
-    two_opt_path,
 )
+from clusterlife.allocation import equalize_batch, lifetime_srra_batch
+from clusterlife.static_sched import path_length, shp_heuristic, two_opt_path
 from conftest import make_cluster
 
 
@@ -75,14 +72,6 @@ def test_brute_force_matches_naive_oracle(model, mode):
         lifetime, _ = naive_brute(cluster, mode)
         assert res.lifetime == pytest.approx(lifetime, rel=1e-9)
         assert res.method == "brute"
-
-
-def test_brute_force_threaded_is_identical():
-    cluster = make_cluster(np.random.default_rng(1), 5, model="gauss")
-    serial = brute_force(cluster, Shannon())
-    threaded = brute_force(cluster, Shannon(), threads=4)
-    assert serial.order == threaded.order
-    assert serial.lifetime == pytest.approx(threaded.lifetime, rel=1e-12)
 
 
 def test_brute_force_guard():
