@@ -138,7 +138,9 @@ def cmd_dynamic_opt(args):
     scn = scenario.load_scenario(args.scenario)
     mode = _mode_override(scn, args.mode)
     cluster = scn.cluster
-    samples = args.samples or int(scn.solver.get("samples_per_schedule", 8))
+    samples = args.samples
+    if samples is None:
+        samples = scn.solver.get("samples_per_schedule", dynamic_sched.SAMPLES_PER_SCHEDULE)
     static_result = static_sched.brute_force(cluster, mode)
     plan = dynamic_sched.dynamic_lifetime(cluster, mode, samples_per_schedule=samples)
     print(f"static_lifetime: {_fmt(static_result.lifetime)}")
@@ -216,7 +218,9 @@ def cmd_simulate(args):
         trace = simulate_static(result, cluster)
         analytic = result.lifetime
     else:
-        samples = args.samples or int(scn.solver.get("samples_per_schedule", 8))
+        samples = args.samples
+        if samples is None:
+            samples = scn.solver.get("samples_per_schedule", dynamic_sched.SAMPLES_PER_SCHEDULE)
         plan = dynamic_sched.dynamic_lifetime(cluster, mode, samples_per_schedule=samples)
         trace = simulate_dynamic(plan, cluster)
         analytic = plan.lifetime

@@ -24,6 +24,12 @@ from .model import ClusterSpec
 from . import static_sched
 
 COLUMN_ENUM_MAX_NODES = 7
+# Allocations per schedule in Shannon mode: the equalized one plus samples.
+SAMPLES_PER_SCHEDULE = 8
+# Least share of the slot a sampled split gives any position, so energy stays finite.
+SPLIT_FLOOR = 1e-4
+# Points per axis of verify_theorem4's (r, s) witness grid.
+_THEOREM4_GRID = 24
 
 # Simplex pivot tolerance; Bland's rule keeps the walk finite.
 _PIVOT_TOL = 1e-9
@@ -63,12 +69,12 @@ class DynamicPlan:
         ]
 
 
-def simplex_grid_samples(n: int, count: int, floor: float = 1e-4) -> np.ndarray:
+def simplex_grid_samples(n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy points on the open time simplex.
 
     A Kronecker (additive recurrence) sequence in the unit cube, mapped to
     the simplex through sorted-coordinate gaps, then floored away from the
-    boundary so the energy curve stays finite.
+    boundary by ``SPLIT_FLOOR`` so the energy curve stays finite.
     """
     if n == 1:
         return np.ones((count, 1))
@@ -82,21 +88,23 @@ def simplex_grid_samples(n: int, count: int, floor: float = 1e-4) -> np.ndarray:
     u.sort(axis=1)
     padded = np.hstack([np.zeros((count, 1)), u, np.ones((count, 1))])
     t = np.diff(padded, axis=1)
-    t = np.maximum(t, floor)
+    t = np.maximum(t, SPLIT_FLOOR)
     return t / t.sum(axis=1, keepdims=True)
 
 
 def build_columns(
     cluster: ClusterSpec,
     mode: EnergyMode,
-    samples_per_schedule: int = 8,
+    samples_per_schedule: int = SAMPLES_PER_SCHEDULE,
     orders=None,
 ) -> list[Column]:
     """Columns for every schedule (or a supplied subset of orders).
 
     Shannon mode: the equalized allocation plus ``samples_per_schedule - 1``
-    extra deterministic allocations per schedule. SRRA mode: one
-    allocation-free column per schedule.
+    extra deterministic allocations per schedule, less any that starve a
+    load. SRRA mode: one allocation-free column per schedule. Each order's
+    columns come out together and in input order, so the columns of a prefix
+    of the orders are a prefix of the list.
     """
     if samples_per_schedule < 1:
         raise ValidationError("samples_per_schedule must be >= 1")
@@ -106,9 +114,9 @@ def build_columns(
                 f"full schedule enumeration is guarded at N <= {COLUMN_ENUM_MAX_NODES}; "
                 "pass an explicit schedule subset for larger clusters"
             )
-        orders = itertools.permutations(range(cluster.n))
-    orders = [tuple(int(i) for i in order) for order in orders]
-    orders_arr = np.array(orders, dtype=int)
+        orders = static_sched.all_orders(cluster.n)
+    orders_arr = np.asarray(orders, dtype=int)
+    orders = [tuple(order) for order in orders_arr.tolist()]
     ev = static_sched.evaluate_orders(cluster, orders_arr, mode)
     if isinstance(mode, Srra):
         return [Column(order=o, times=None, energy=ev.energy[r]) for r, o in enumerate(orders)]
@@ -228,7 +236,7 @@ def solve_lp(columns, energies) -> DynamicPlan:
 def dynamic_lifetime(
     cluster: ClusterSpec,
     mode: EnergyMode,
-    samples_per_schedule: int = 8,
+    samples_per_schedule: int = SAMPLES_PER_SCHEDULE,
     orders=None,
 ) -> DynamicPlan:
     """Build columns for the cluster and solve the cooperation LP."""
@@ -237,22 +245,24 @@ def dynamic_lifetime(
 
 
 def lifetime_by_schedule_count(
-    cluster: ClusterSpec, mode: EnergyMode, samples_per_schedule: int = 8
+    cluster: ClusterSpec, mode: EnergyMode, samples_per_schedule: int = SAMPLES_PER_SCHEDULE
 ) -> list[float]:
     """LP lifetime using columns from the best m static schedules, m = 1..N!.
 
-    Schedules are ranked by their static lifetime; the resulting column sets
-    are nested, so the sequence is non-decreasing by construction and its
-    saturation point bounds how many schedules are worth cooperating.
+    Schedules are ranked by their static lifetime and their columns built
+    once; the LP for m runs on the columns of the first m ranked orders. The
+    column sets are nested, so the sequence is non-decreasing by construction
+    and its saturation point bounds how many schedules are worth cooperating.
     """
+    if cluster.n > COLUMN_ENUM_MAX_NODES:
+        raise GuardError(f"the schedule-count sweep is guarded at N <= {COLUMN_ENUM_MAX_NODES}")
     orders = static_sched.all_orders(cluster.n)
     lifetimes = static_sched.evaluate_orders(cluster, orders, mode).lifetimes
     ranked = orders[np.argsort(-lifetimes, kind="stable")]
-    out = []
-    for m in range(1, len(ranked) + 1):
-        plan = dynamic_lifetime(cluster, mode, samples_per_schedule, orders=ranked[:m])
-        out.append(plan.lifetime)
-    return out
+    columns = build_columns(cluster, mode, samples_per_schedule, orders=ranked)
+    # the columns of the first m orders end where the (m+1)-th order's begin
+    ends = [j for j in range(1, len(columns)) if columns[j].order != columns[j - 1].order] + [len(columns)]
+    return [solve_lp(columns[:end], cluster.energies).lifetime for end in ends]
 
 
 @dataclass(frozen=True)
@@ -267,7 +277,7 @@ class Theorem4Report:
     witness_lifetime: float | None
 
 
-def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon(), grid: int = 24) -> Theorem4Report:
+def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon()) -> Theorem4Report:
     """Check that two cooperating schedules beat the best single one (N = 2).
 
     The witness is a pair (r, s): schedule (0,1) run with first-node time r
@@ -275,6 +285,8 @@ def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon(), grid: in
     s > (h*t - (h - h12)) / h12 around the static equalization point t.
     Cooperation of just those two columns must already beat the static
     optimum whenever the marginal entropy strictly exceeds the conditional.
+    Both grids are priced in one ``split_energy`` call; a split that starves
+    a load has no finite column and is skipped, as ``build_columns`` does.
     """
     if cluster.n != 2:
         raise ValidationError("verify_theorem4 requires exactly two nodes")
@@ -290,23 +302,26 @@ def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon(), grid: in
     h, h12 = float(static_best.loads[0]), float(static_best.loads[1])
     t = float(static_best.times[best_order[0]])
 
-    def column_at(order, first_time):
-        times, energy = static_sched.split_energy(cluster, [order], [[first_time, 1.0 - first_time]])
-        return Column(order=order, times=times[0, 0], energy=energy[0, 0])
-
     witness = None
     witness_lifetime = None
     if h > h12 + 1e-12:
         s_low = min(max((h * t - (h - h12)) / h12, 0.0), 1.0 - 2e-3)
-        for r in np.linspace(max(t - 0.4, 1e-3), t * (1 - 1e-6), grid):
-            for s in np.linspace(s_low + 1e-6, 1 - 1e-3, grid):
-                pair = [column_at(best_order, r), column_at(other_order, s)]
-                cand = solve_lp(pair, cluster.energies)
-                if cand.lifetime > static_best.lifetime * (1 + 1e-9):
-                    witness = (float(r), float(s))
-                    witness_lifetime = cand.lifetime
-                    break
-            if witness:
+        first = np.stack([
+            np.linspace(max(t - 0.4, 1e-3), t * (1 - 1e-6), _THEOREM4_GRID),  # r, for the best order
+            np.linspace(s_low + 1e-6, 1 - 1e-3, _THEOREM4_GRID),  # s, for the other
+        ])
+        times, energy = static_sched.split_energy(
+            cluster, [best_order, other_order], np.stack([first, 1.0 - first], axis=-1)
+        )
+        finite = np.all(np.isfinite(energy), axis=-1)
+        for i, j in itertools.product(range(_THEOREM4_GRID), repeat=2):
+            if not (finite[0, i] and finite[1, j]):
+                continue
+            pair = [Column(best_order, times[0, i], energy[0, i]), Column(other_order, times[1, j], energy[1, j])]
+            cand = solve_lp(pair, cluster.energies)
+            if cand.lifetime > static_best.lifetime * (1 + 1e-9):
+                witness = (float(first[0, i]), float(first[1, j]))
+                witness_lifetime = cand.lifetime
                 break
     return Theorem4Report(
         static_lifetime=static_best.lifetime,

@@ -16,44 +16,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamic_sched import Column, build_columns
+from .allocation import equalize_batch
+from .dynamic_sched import SPLIT_FLOOR, Column, build_columns
 from .energy import Srra, tx_energy
 from .errors import GuardError, ValidationError
 from .model import ClusterSpec
 from . import static_sched
 
 _SUBSET_GUARD = 200000
+_LATTICE_MAX_POINTS = 10**6  # a Column each; ~0.5 GB at the limit
 _MIN_NORM_MAX_POINTS = 16
 
 
-def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50, floor: float = 1e-4) -> list[Column]:
+def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50) -> list[Column]:
     """Columns of one schedule on a deterministic simplex lattice of splits.
 
     For N = 2 the lattice is a 1-D sweep; in general it is the set of
     compositions of ``grid_density`` into N positive parts, each giving the
-    time of one polling position. Every position keeps at least ``floor``
-    time so the energy stays finite. Column times are by node id.
+    time of one polling position, in lexicographic order: the gaps between
+    the sorted cut points of each ``itertools.combinations`` draw. Every
+    position keeps at least ``SPLIT_FLOOR`` time so the energy stays finite.
+    Column times are by node id. Lattices of over a million points are refused.
     """
     order = tuple(order)
     n = cluster.n
     if grid_density < n:
         raise ValidationError("grid_density must be at least the node count")
-    times = []
-    for comp in _compositions(grid_density, n):
-        t = np.maximum(np.array(comp, dtype=float) / grid_density, floor)
-        times.append(t / t.sum())
-    times, energy = static_sched.split_energy(cluster, [order], np.array(times))
+    count = math.comb(grid_density - 1, n - 1)
+    if count > _LATTICE_MAX_POINTS:
+        raise GuardError(f"{count} lattice points (grid {grid_density}, N = {n}) exceed {_LATTICE_MAX_POINTS}")
+    cuts = itertools.chain.from_iterable(itertools.combinations(range(1, grid_density), n - 1))
+    cuts = np.fromiter(cuts, dtype=int, count=count * (n - 1)).reshape(count, n - 1)
+    gaps = np.diff(cuts, axis=1, prepend=0, append=grid_density)
+    share = np.maximum(gaps / grid_density, SPLIT_FLOOR)
+    times, energy = static_sched.split_energy(cluster, [order], share / share.sum(axis=1, keepdims=True))
     return [Column(order=order, times=t, energy=e) for t, e in zip(times[0], energy[0])]
-
-
-def _compositions(total: int, parts: int):
-    """All positive integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def srra_points(cluster: ClusterSpec, mode: Srra) -> list[Column]:
@@ -174,51 +171,28 @@ class CrossingReport:
     winner: tuple[int, ...]  # order whose crossing is closer to the origin
 
 
-def equal_energy_crossing(cluster: ClusterSpec, orders=((0, 1), (1, 0))) -> CrossingReport:
+def equal_energy_crossing(cluster: ClusterSpec) -> CrossingReport:
     """Where each two-node schedule curve meets the equal-energy diagonal.
 
-    Parametrized by the first-polled node's time t, the energy difference
-    e0(t) - e1(t) is strictly monotone, so bisection pins the crossing; it
-    coincides with the equalized allocation whenever the two batteries are
-    equal, and the crossing nearer the origin belongs to the better static
-    schedule.
+    Along a curve the first-polled node's time t trades one node's energy
+    for the other's. Equal per-slot energies are equal lifetimes under unit
+    batteries, so each crossing is the equalized allocation of unit
+    batteries, both orders in one ``equalize_batch`` call; it coincides with
+    the static equalization whenever the two batteries are equal, and the
+    crossing nearer the origin belongs to the better static schedule.
     """
     if cluster.n != 2:
         raise ValidationError("equal_energy_crossing requires exactly two nodes")
-    crossings = []
-    for order in orders:
-        loads = cluster.loads(np.array([order]))[0]  # fixed along the curve
-        node_of = np.argsort(order)  # inverse permutation: position of each node id
-
-        def energy(t):
-            return tx_energy(loads, np.array([t, 1.0 - t]))[node_of] * cluster.path_losses
-
-        def diff(t):
-            e0, e1 = energy(t)
-            return e0 - e1
-
-        lo, hi = 1e-9, 1.0 - 1e-9
-        d_lo, d_hi = diff(lo), diff(hi)
-        if d_lo == 0:
-            t_star = lo
-        elif d_hi == 0:
-            t_star = hi
-        else:
-            if (d_lo > 0) == (d_hi > 0):
-                raise ValidationError("energy curves do not cross the diagonal")
-            increasing = d_hi > d_lo
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                d_mid = diff(mid)
-                if (d_mid > 0) == increasing:
-                    hi = mid
-                else:
-                    lo = mid
-            t_star = 0.5 * (lo + hi)
-        point = energy(t_star)
-        crossings.append(
-            Crossing(order=tuple(order), t_first=t_star, point=point, origin_distance=float(np.linalg.norm(point)))
-        )
+    orders = static_sched.all_orders(2)
+    loads = static_sched.by_node(cluster, orders, cluster.loads(orders))
+    if not np.all(loads > 0):  # a silent node's energy stays 0 along the whole curve
+        raise ValidationError("energy curves do not cross the diagonal")
+    _, times = equalize_batch(loads, np.ones(2), cluster.path_losses)
+    points = tx_energy(loads, times) * cluster.path_losses
+    crossings = [
+        Crossing(tuple(order), float(t[order[0]]), point, float(np.linalg.norm(point)))
+        for order, t, point in zip(orders.tolist(), times, points)
+    ]
     winner = min(crossings, key=lambda c: (c.origin_distance, c.order)).order
     return CrossingReport(crossings=tuple(crossings), winner=winner)
 

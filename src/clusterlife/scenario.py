@@ -130,6 +130,10 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(solver, dict):
         _fail("solver", "expected an object")
     _check_unknown(solver, _SOLVER_FIELDS, "solver")
+    if "samples_per_schedule" in solver:
+        samples = solver["samples_per_schedule"]
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+            _fail("solver.samples_per_schedule", f"expected a positive integer, got {samples!r}")
 
     nodes_doc = _require(doc, "nodes", "")
     if not isinstance(nodes_doc, list) or not nodes_doc:

@@ -50,7 +50,7 @@ class OrderEvaluation(NamedTuple):
     energy: np.ndarray  # per-slot energy, path loss included
 
 
-def _by_node(cluster: ClusterSpec, orders: np.ndarray, values: np.ndarray) -> np.ndarray:
+def by_node(cluster: ClusterSpec, orders: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Reindex the last axis of ``values`` from polling position to node id."""
     if orders.shape[-1] != cluster.n:
         raise ValidationError(f"orders must be permutations of 0..{cluster.n - 1}, got shape {orders.shape}")
@@ -65,7 +65,7 @@ def evaluate_orders(cluster: ClusterSpec, orders, mode: EnergyMode) -> OrderEval
     when every row has converged, so a row's last bits depend on its batch.
     """
     orders = np.asarray(orders)
-    loads = _by_node(cluster, orders, cluster.loads(orders))
+    loads = by_node(cluster, orders, cluster.loads(orders))
     if isinstance(mode, Srra):
         lifetimes = lifetime_srra_batch(loads, cluster.energies, cluster.path_losses, c=mode.c)
         return OrderEvaluation(loads, lifetimes, None, tx_energy(loads, 1.0, mode) * cluster.path_losses)
@@ -85,8 +85,8 @@ def split_energy(cluster: ClusterSpec, orders, times_pos) -> tuple[np.ndarray, n
     times_pos = np.asarray(times_pos, dtype=float)
     energy = tx_energy(cluster.loads(orders)[:, None, :], times_pos)
     orders = orders[:, None, :]
-    times = _by_node(cluster, orders, np.broadcast_to(times_pos, energy.shape))
-    return times, _by_node(cluster, orders, energy) * cluster.path_losses
+    times = by_node(cluster, orders, np.broadcast_to(times_pos, energy.shape))
+    return times, by_node(cluster, orders, energy) * cluster.path_losses
 
 
 def evaluate_schedule(order, cluster: ClusterSpec, mode: EnergyMode, method: str = "eval") -> StaticResult:

@@ -171,6 +171,32 @@ def test_guard_errors_exit_3(tmp_path, capsys):
     assert code == 3 and "guard violation" in err
 
 
+@pytest.mark.parametrize("value", ["abc", 2.7, True, 0])
+def test_bad_scenario_samples_exit_2(scenario_file, capsys, value):
+    doc = json.loads(scenario_file.read_text())
+    doc["solver"] = {"samples_per_schedule": value}
+    scenario_file.write_text(json.dumps(doc))
+    code, out, err = run(["dynamic-opt", "--scenario", str(scenario_file)], capsys)
+    assert (code, out) == (2, "") and "samples_per_schedule" in err
+
+
+@pytest.mark.parametrize("plan", ["dynamic-opt", "simulate"])
+def test_zero_samples_flag_exits_2(scenario_file, capsys, plan):
+    # --samples 0 is used as given, not replaced by the default
+    extra = ["--plan", "dynamic"] if plan == "simulate" else []
+    code, out, err = run([plan, "--scenario", str(scenario_file), "--samples", "0"] + extra, capsys)
+    assert (code, out) == (2, "") and "samples_per_schedule" in err
+
+
+def test_geometry_export_lattice_guard_exits_3(tmp_path, capsys):
+    scn = tmp_path / "three.json"
+    assert run(["gen", "--seed", "9", "--nodes", "3", "--model", "gauss", "--out", str(scn)], capsys)[0] == 0
+    code, _, err = run(
+        ["geometry-export", "--scenario", str(scn), "--grid", "20000", "--out-dir", str(tmp_path / "geo")], capsys
+    )
+    assert code == 3 and "lattice points" in err
+
+
 def test_threads_env_var(scenario_file, capsys, monkeypatch):
     # CLUSTERLIFE_THREADS is not read: any value leaves the output as it is
     plain = run(["static-opt", "--scenario", str(scenario_file)], capsys)

@@ -19,7 +19,9 @@ from clusterlife import (
     lifetime_by_schedule_count,
     verify_theorem4,
 )
+from clusterlife import dynamic_sched
 from clusterlife.dynamic_sched import Column, build_columns, simplex_grid_samples, solve_lp
+from clusterlife.static_sched import all_orders, evaluate_orders
 from conftest import make_cluster
 
 
@@ -194,6 +196,42 @@ def test_lifetime_by_schedule_count_monotone():
     # m = 1 equals the best static schedule (its equalized column is in the set)
     static = brute_force(cluster, Shannon())
     assert seq[0] >= static.lifetime * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("mode", [Srra(), Shannon()], ids=["Srra", "Shannon"])
+def test_lifetime_by_schedule_count_prices_each_column_once(mode, monkeypatch):
+    cluster = make_cluster(np.random.default_rng(3), 3, model="bit")
+    calls = []
+    build = dynamic_sched.build_columns
+    monkeypatch.setattr(dynamic_sched, "build_columns", lambda *a, **k: calls.append(1) or build(*a, **k))
+    seq = lifetime_by_schedule_count(cluster, mode, samples_per_schedule=5)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # reference: one column build and LP per m on the m best-ranked orders
+    orders = all_orders(3)
+    ranked = orders[np.argsort(-evaluate_orders(cluster, orders, mode).lifetimes, kind="stable")]
+    ref = [dynamic_lifetime(cluster, mode, 5, orders=ranked[:m]).lifetime for m in range(1, 7)]
+    if isinstance(mode, Srra):
+        assert seq == ref
+    else:  # each reference equalizes its own batch, so its last bits differ
+        assert seq == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_lifetime_by_schedule_count_guard():
+    big = make_cluster(np.random.default_rng(1), 8, model="bit")
+    with pytest.raises(GuardError):
+        lifetime_by_schedule_count(big, Srra())
+
+
+def test_verify_theorem4_skips_starved_splits_on_random_pairs():
+    # random pairs' grids hold splits whose energy overflows; those pairs are
+    # skipped, so no pair raises and cooperation never loses
+    for model in ("gauss", "bit"):
+        for seed in range(60):
+            report = verify_theorem4(make_cluster(np.random.default_rng(seed), 2, model))
+            assert report.dynamic_lifetime >= report.static_lifetime * (1 - 1e-9)
+            if report.witness is not None:
+                assert report.witness_lifetime > report.static_lifetime
 
 
 def test_theorem_improvement_on_asymmetric_entropy_instance():

@@ -23,6 +23,7 @@ from clusterlife import (
 )
 from clusterlife.dynamic_sched import Column, build_columns, solve_lp
 from clusterlife.geometry import best_over_subsets, lifetime_from_weights, min_norm_weights
+from clusterlife.static_sched import split_energy
 from conftest import make_cluster, two_node_cluster
 
 
@@ -50,6 +51,40 @@ def test_surface_sample_times_are_by_node_id():
         assert p.times[list(order)] == pytest.approx(np.array(comp) / 6.0, abs=1e-15)
         loads = cluster.schedule_loads(order).loads_by_node(3)
         assert p.energy == pytest.approx(tx_energy(loads, p.times) * cluster.path_losses, rel=1e-12)
+
+
+def _compositions(total, parts):
+    """All positive integer vectors of the given length summing to total, recursively."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_surface_lattice_matches_recursive_compositions(n):
+    # the cut-point lattice is the recursive per-point one, bit for bit and in the same order
+    cluster = make_cluster(np.random.default_rng(n), n, model="gauss")
+    order = tuple(reversed(range(n)))
+    for grid in (n, n + 1, 9):
+        rows = []
+        for comp in _compositions(grid, n):
+            t = np.maximum(np.array(comp, dtype=float) / grid, 1e-4)
+            rows.append(t / t.sum())
+        times, energy = split_energy(cluster, [order], np.array(rows))
+        pts = surface_sample(order, cluster, grid_density=grid)
+        assert len(pts) == len(rows)
+        for p, t, e in zip(pts, times[0], energy[0]):
+            assert np.array_equal(p.times, t) and np.array_equal(p.energy, e)
+
+
+def test_surface_lattice_guard():
+    # C(19999, 2) ~ 2e8 points are refused before any is built
+    cluster = make_cluster(np.random.default_rng(0), 3, model="gauss")
+    with pytest.raises(GuardError, match="lattice points"):
+        surface_sample((0, 1, 2), cluster, grid_density=20000)
 
 
 def test_surface_is_convex_frontier_in_2d():
@@ -190,6 +225,51 @@ def test_crossing_matches_equalize_with_equal_batteries():
                 )
     with pytest.raises(ValidationError):
         equal_energy_crossing(make_cluster(np.random.default_rng(0), 3, model="gauss"))
+
+
+def _bisection_crossing(cluster, order):
+    """First-node time and energy point where e0(t) = e1(t), by 200 bisection steps on t."""
+    loads = cluster.loads(np.array([order]))[0]
+    node_of = np.argsort(order)
+
+    def energy(t):
+        return tx_energy(loads, np.array([t, 1.0 - t]))[node_of] * cluster.path_losses
+
+    def diff(t):
+        e0, e1 = energy(t)
+        return e0 - e1
+
+    lo, hi = 1e-9, 1.0 - 1e-9
+    increasing = diff(hi) > diff(lo)
+    assert (diff(lo) > 0) != (diff(hi) > 0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (diff(mid) > 0) == increasing:
+            hi = mid
+        else:
+            lo = mid
+    t = 0.5 * (lo + hi)
+    return t, energy(t)
+
+
+def test_crossing_equalization_matches_bisection():
+    clusters = [make_cluster(np.random.default_rng(s), 2, model=m) for m in ("gauss", "bit") for s in range(20)]
+    clusters += [two_node_cluster(distance=d, path_losses=(1.0, 3.0)) for d in (0.5, 1.5, 3.0)]
+    for cluster in clusters:
+        report = equal_energy_crossing(cluster)
+        for crossing in report.crossings:
+            t, point = _bisection_crossing(cluster, crossing.order)
+            assert crossing.t_first == pytest.approx(t, rel=1e-11, abs=0)
+            assert crossing.point == pytest.approx(point, rel=1e-11, abs=0)
+
+
+def test_crossing_needs_both_loads_positive():
+    # a bit pair at distance 0: the second node sends nothing, so its energy
+    # stays 0 and the curve never meets the diagonal
+    cluster = two_node_cluster(distance=0.0)
+    assert np.any(cluster.loads(np.array([[0, 1]])) == 0)
+    with pytest.raises(ValidationError, match="do not cross"):
+        equal_energy_crossing(cluster)
 
 
 def test_crossing_winner_is_static_winner():

@@ -1,4 +1,5 @@
-"""Layering: no clusterlife module reaches into another module's private names."""
+"""Layering: no clusterlife module reaches into another module's private names,
+and only static_sched enumerates polling orders."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,21 @@ def test_no_module_uses_another_modules_private_names():
         if (reaches := private_reaches(path))
     }
     assert offenders == {}
+
+
+def permutation_uses(path):
+    """Lines that call or import ``itertools.permutations``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [node.lineno for alias in node.names if alias.name == "permutations"]
+        elif isinstance(node, ast.Attribute) and node.attr == "permutations":
+            found.append(node.lineno)
+    return found
+
+
+def test_only_static_sched_enumerates_orders():
+    # every other module takes its orders from static_sched.all_orders
+    users = {path.name for path in sorted(PACKAGE.glob("*.py")) if permutation_uses(path)}
+    assert users == {"static_sched.py"}

@@ -81,6 +81,12 @@ def test_ignored_solver_fields_still_parse():
     assert scn.solver == solver
 
 
+@pytest.mark.parametrize("value", ["abc", 2.7, True, 0, -1, None])
+def test_samples_per_schedule_must_be_a_positive_int(value):
+    with pytest.raises(ValidationError, match="samples_per_schedule"):
+        parse_scenario(minimal_doc(solver={"samples_per_schedule": value}))
+
+
 def test_version_and_required_fields():
     with pytest.raises(ValidationError, match="version"):
         parse_scenario(minimal_doc(version=99))
