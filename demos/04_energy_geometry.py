@@ -36,9 +36,9 @@ for crossing in report.crossings:
           f"({e[0]:.5f}, {e[1]:.5f}) -> lifetime {life:.5f}")
 print(f"winner: order {report.winner} (lower crossing = longer life)")
 
-pts = surface_sample((0, 1), cluster, grid_density=40)
-hull = hull_2d([p.energy for p in pts])
-print(f"sampled {len(pts)} operating points of order (0, 1); "
+_, energy = surface_sample((0, 1), cluster, grid_density=40)
+hull = hull_2d(energy)
+print(f"sampled {len(energy)} operating points of order (0, 1); "
       f"lower hull has {len(hull)} vertices")
 
 print()
@@ -62,4 +62,4 @@ print()
 print("=== mixtures of low-rate points: best value by subset size ===")
 best, per_m = best_over_all_m([p.energy for p in points], cluster.energies, max_m=3)
 for m, value in enumerate(per_m, start=1):
-    print(f"  minimum-norm mixture of {m} point(s): L = {value:.5f}")
+    print(f"  best mixture of {m} point(s): L = {value:.5f}")

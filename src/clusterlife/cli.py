@@ -176,18 +176,17 @@ def cmd_geometry_export(args):
         return 0
     if cluster.n > 3:
         raise GuardError("geometry export supports N <= 3 in Shannon mode")
-    all_points = []
+    # t{k} is the time of polling position k, as the curve was sampled
+    header = [f"t{k}" for k in range(cluster.n)] + [f"e{k}" for k in range(cluster.n)]
+    energies = []
     for order in static_sched.all_orders(cluster.n).tolist():
-        pts = geometry.surface_sample(order, cluster, grid_density=args.grid)
+        times, energy = geometry.surface_sample(order, cluster, grid_density=args.grid)
         label = "-".join(str(i) for i in order)
-        # t{k} is the time of polling position k, as the curve was sampled
-        rows = [tuple(p.times[order]) + tuple(p.energy) for p in pts]
-        header = [f"t{k}" for k in range(cluster.n)] + [f"e{k}" for k in range(cluster.n)]
-        _write_csv(os.path.join(args.out_dir, f"curve_{label}.csv"), header, rows)
-        all_points.extend(pts)
+        _write_csv(os.path.join(args.out_dir, f"curve_{label}.csv"), header, np.hstack([times[:, order], energy]))
+        energies.append(energy)
+    energies = np.vstack(energies)
     if cluster.n == 2:
-        hull = geometry.hull_2d([p.energy for p in all_points])
-        _write_csv(os.path.join(args.out_dir, "hull.csv"), ["e0", "e1"], [tuple(v) for v in hull])
+        _write_csv(os.path.join(args.out_dir, "hull.csv"), ["e0", "e1"], geometry.hull_2d(energies))
         report = geometry.equal_energy_crossing(cluster)
         rows = [
             ("-".join(str(i) for i in c.order), c.t_first, c.point[0], c.point[1], c.origin_distance)
@@ -200,11 +199,7 @@ def cmd_geometry_export(args):
         )
         print(f"winner: {'-'.join(str(i) for i in report.winner)}")
     else:
-        _write_csv(
-            os.path.join(args.out_dir, "points.csv"),
-            [f"e{k}" for k in range(cluster.n)],
-            [tuple(p.energy) for p in all_points],
-        )
+        _write_csv(os.path.join(args.out_dir, "points.csv"), [f"e{k}" for k in range(cluster.n)], energies)
     print(f"exported geometry for N={cluster.n} to {args.out_dir}")
     return 0
 

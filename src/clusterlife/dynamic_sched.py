@@ -278,13 +278,18 @@ class Theorem4Report:
 
 
 def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon()) -> Theorem4Report:
-    """Check that two cooperating schedules beat the best single one (N = 2).
+    """Look for two cooperating schedules that beat the best single one (N = 2).
 
     The witness is a pair (r, s): schedule (0,1) run with first-node time r
     and schedule (1,0) with first-node time s, inside the region r < t,
     s > (h*t - (h - h12)) / h12 around the static equalization point t.
-    Cooperation of just those two columns must already beat the static
-    optimum whenever the marginal entropy strictly exceeds the conditional.
+    The region assumes the symmetric setting (equal batteries and path
+    losses), where a marginal entropy h above the conditional h12 is the
+    condition for a gain. A witness is reported only when a pair on the
+    24 x 24 grid (r steps of ~0.017 below t) beats static by more than 1e-9
+    relative, so ``witness`` is also None when the gain lies nearer t: on
+    symmetric Gaussian pairs 1.48 or more apart a finer search finds a gain
+    (5e-5 relative at distance 1.48, at r = t - 7e-4) that this grid misses.
     Both grids are priced in one ``split_energy`` call; a split that starves
     a load has no finite column and is skipped, as ``build_columns`` does.
     """

@@ -1,9 +1,9 @@
 """Energy-space view of scheduling: hypersurfaces, mixtures, hulls.
 
 Each schedule traces a convex surface in the first orthant of per-node
-energy space as its time allocation sweeps the simplex; cooperation reaches
-convex combinations of surface points, and the best mixture of m chosen
-points is the one closest to the origin on their affine patch. In the
+energy space as its time allocation sweeps the simplex. A mixture runs each
+chosen point for some number of slots, so the best mixture of a set of
+points is the cooperation LP that ``dynamic_sched.solve_lp`` solves. In the
 low-rate regime every schedule collapses to a single point and the static
 winner is the point hugging the equal-energy diagonal.
 """
@@ -17,26 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import equalize_batch
-from .dynamic_sched import SPLIT_FLOOR, Column, build_columns
+from .dynamic_sched import SPLIT_FLOOR, Column, build_columns, solve_lp
 from .energy import Srra, tx_energy
 from .errors import GuardError, ValidationError
 from .model import ClusterSpec
 from . import static_sched
 
 _SUBSET_GUARD = 200000
-_LATTICE_MAX_POINTS = 10**6  # a Column each; ~0.5 GB at the limit
+_LATTICE_MAX_POINTS = 10**6  # two (K, N) float arrays: at N = 3, ~50 MB kept, ~180 MB peak at the limit
 _MIN_NORM_MAX_POINTS = 16
 
 
-def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50) -> list[Column]:
-    """Columns of one schedule on a deterministic simplex lattice of splits.
+def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    """Times and per-slot energies of one schedule on a simplex lattice of splits.
 
     For N = 2 the lattice is a 1-D sweep; in general it is the set of
     compositions of ``grid_density`` into N positive parts, each giving the
     time of one polling position, in lexicographic order: the gaps between
     the sorted cut points of each ``itertools.combinations`` draw. Every
     position keeps at least ``SPLIT_FLOOR`` time so the energy stays finite.
-    Column times are by node id. Lattices of over a million points are refused.
+    Both results are (K, N) arrays by node id, as ``split_energy`` gives them
+    for one order. Lattices of over a million points are refused.
     """
     order = tuple(order)
     n = cluster.n
@@ -50,7 +51,7 @@ def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50) -> list[
     gaps = np.diff(cuts, axis=1, prepend=0, append=grid_density)
     share = np.maximum(gaps / grid_density, SPLIT_FLOOR)
     times, energy = static_sched.split_energy(cluster, [order], share / share.sum(axis=1, keepdims=True))
-    return [Column(order=order, times=t, energy=e) for t, e in zip(times[0], energy[0])]
+    return times[0], energy[0]
 
 
 def srra_points(cluster: ClusterSpec, mode: Srra) -> list[Column]:
@@ -61,7 +62,7 @@ def srra_points(cluster: ClusterSpec, mode: Srra) -> list[Column]:
 
 
 def min_norm_weights(points) -> np.ndarray:
-    """Convex-combination weights minimizing the combined point's norm.
+    """Convex-combination weights of the point nearest the origin (not the best mixture).
 
     Exact active-face search: the minimizer of a convex quadratic over the
     simplex lies on some face, and each face's candidate solves a small
@@ -111,49 +112,42 @@ def _as_matrix(points) -> np.ndarray:
     return np.array([pt.energy if isinstance(pt, Column) else pt for pt in points], dtype=float)
 
 
-def lifetime_from_weights(points, r, energies) -> float:
-    """Lifetime of a weighted mixture: min over nodes of E / combined energy."""
-    p = _as_matrix(points)
-    r = np.asarray(r, dtype=float)
-    if abs(r.sum() - 1.0) > 1e-9 or np.any(r < -1e-12):
-        raise ValidationError("weights must lie on the simplex")
-    combined = r @ p
-    e = np.asarray(energies, dtype=float)
-    pos = combined > 0
-    if not np.any(pos):
-        raise ValidationError("combined energy point is identically zero")
-    return float(np.min(e[pos] / combined[pos]))
-
-
 @dataclass(frozen=True)
 class SubsetResult:
     lifetime: float
     subset: tuple[int, ...]
-    weights: np.ndarray
+    weights: np.ndarray  # share of the lifetime each subset point runs
 
 
 def best_over_subsets(points, energies, m: int) -> SubsetResult:
-    """Best lifetime over all size-m mixtures of the given schedule points."""
-    p = _as_matrix(points)
-    count = p.shape[0]
+    """Best ``solve_lp`` lifetime over all size-m subsets; weights are slot counts / lifetime."""
+    columns = [Column(order=(), times=None, energy=row) for row in _as_matrix(points)]
+    count = len(columns)
     if not (1 <= m <= count):
         raise ValidationError(f"subset size {m} out of range 1..{count}")
     if math.comb(count, m) > _SUBSET_GUARD:
         raise GuardError("too many subsets to enumerate")
     best = None
     for subset in itertools.combinations(range(count), m):
-        r = min_norm_weights(p[list(subset)])
-        lifetime = lifetime_from_weights(p[list(subset)], r, energies)
-        if best is None or lifetime > best.lifetime * (1 + 1e-12):
-            best = SubsetResult(lifetime=lifetime, subset=subset, weights=r)
+        plan = solve_lp([columns[i] for i in subset], energies)
+        if best is None or plan.lifetime > best.lifetime * (1 + 1e-12):
+            weights = np.isinf(plan.slot_counts) * 1.0 if plan.infinite else plan.slot_counts / plan.lifetime
+            best = SubsetResult(lifetime=plan.lifetime, subset=subset, weights=weights)
     return best
 
 
 def best_over_all_m(points, energies, max_m: int | None = None) -> tuple[float, list[float]]:
-    """Overall best mixture lifetime and the per-m sequence L_1..L_max."""
+    """Overall best mixture lifetime and the per-m sequence L_1..L_max.
+
+    A basic LP solution uses at most N points, so L_m for m >= N is the one
+    LP over all the points; subsets are enumerated only for m < N.
+    """
     p = _as_matrix(points)
-    limit = p.shape[0] if max_m is None else min(max_m, p.shape[0])
-    seq = [best_over_subsets(p, energies, m).lifetime for m in range(1, limit + 1)]
+    count, n = p.shape
+    limit = count if max_m is None else min(max_m, count)
+    seq = [best_over_subsets(p, energies, m).lifetime for m in range(1, min(limit, n - 1) + 1)]
+    if limit >= n:
+        seq += [best_over_subsets(p, energies, count).lifetime] * (limit - len(seq))
     return max(seq), seq
 
 
@@ -216,8 +210,9 @@ def hull_2d(points) -> np.ndarray:
     for q in pts:
         while len(lower) >= 2:
             o, a = lower[-2], lower[-1]
-            cross = (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0])
-            if cross <= 1e-15:
+            left, right = (a[0] - o[0]) * (q[1] - o[1]), (a[1] - o[1]) * (q[0] - o[0])
+            # relative to the products' size, so the hull does not depend on the energy scale
+            if left - right <= 1e-12 * (abs(left) + abs(right)):
                 lower.pop()
             else:
                 break

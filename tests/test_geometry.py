@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,35 +25,31 @@ from clusterlife import (
     tx_energy,
 )
 from clusterlife.dynamic_sched import Column, build_columns, solve_lp
-from clusterlife.geometry import best_over_subsets, lifetime_from_weights, min_norm_weights
+from clusterlife.geometry import best_over_subsets, min_norm_weights
 from clusterlife.static_sched import split_energy
 from conftest import make_cluster, two_node_cluster
 
 
 def test_surface_sample_basics():
     cluster = make_cluster(np.random.default_rng(0), 2, model="gauss")
-    pts = surface_sample((0, 1), cluster, grid_density=30)
-    assert len(pts) == 29  # compositions of 30 into 2 positive parts
-    for p in pts:
-        assert p.times.sum() == pytest.approx(1.0)
-        assert np.all(p.energy > 0)
-        assert p.order == (0, 1)
+    times, energy = surface_sample((0, 1), cluster, grid_density=30)
+    assert times.shape == energy.shape == (29, 2)  # compositions of 30 into 2 positive parts
+    assert times.sum(axis=1) == pytest.approx(np.ones(29))
+    assert np.all(energy > 0)
     with pytest.raises(ValidationError):
         surface_sample((0, 1), cluster, grid_density=1)
 
 
 def test_surface_sample_times_are_by_node_id():
-    # read in polling order, each column's times are one lattice point
+    # read in polling order, each row of times is one lattice point
     cluster = make_cluster(np.random.default_rng(1), 3, model="gauss")
     order = (2, 0, 1)
-    pts = surface_sample(order, cluster, grid_density=6)
+    times, energy = surface_sample(order, cluster, grid_density=6)
     lattice = sorted((a, b, 6 - a - b) for a in range(1, 5) for b in range(1, 6 - a))
-    assert len(pts) == len(lattice) == 10
-    for p, comp in zip(pts, lattice):
-        assert isinstance(p, Column) and p.order == order
-        assert p.times[list(order)] == pytest.approx(np.array(comp) / 6.0, abs=1e-15)
-        loads = cluster.schedule_loads(order).loads_by_node(3)
-        assert p.energy == pytest.approx(tx_energy(loads, p.times) * cluster.path_losses, rel=1e-12)
+    assert times.shape == energy.shape == (len(lattice), 3) == (10, 3)
+    assert times[:, list(order)] == pytest.approx(np.array(lattice) / 6.0, abs=1e-15)
+    loads = cluster.schedule_loads(order).loads_by_node(3)
+    assert energy == pytest.approx(tx_energy(loads, times) * cluster.path_losses, rel=1e-12)
 
 
 def _compositions(total, parts):
@@ -74,10 +73,8 @@ def test_surface_lattice_matches_recursive_compositions(n):
             t = np.maximum(np.array(comp, dtype=float) / grid, 1e-4)
             rows.append(t / t.sum())
         times, energy = split_energy(cluster, [order], np.array(rows))
-        pts = surface_sample(order, cluster, grid_density=grid)
-        assert len(pts) == len(rows)
-        for p, t, e in zip(pts, times[0], energy[0]):
-            assert np.array_equal(p.times, t) and np.array_equal(p.energy, e)
+        got_times, got_energy = surface_sample(order, cluster, grid_density=grid)
+        assert np.array_equal(got_times, times[0]) and np.array_equal(got_energy, energy[0])
 
 
 def test_surface_lattice_guard():
@@ -87,11 +84,23 @@ def test_surface_lattice_guard():
         surface_sample((0, 1, 2), cluster, grid_density=20000)
 
 
+def test_surface_sample_holds_only_its_arrays():
+    # 99,681 lattice points at N = 3: the (K, 3) times and energy are 4.8 MB together
+    cluster = make_cluster(np.random.default_rng(1), 3, model="bit")
+    tracemalloc.start()
+    try:
+        result = surface_sample((0, 1, 2), cluster, grid_density=448)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 8e6
+    assert result[0].shape == (99681, 3)
+
+
 def test_surface_is_convex_frontier_in_2d():
     # along the sweep, e0 decreases while e1 increases: a trade-off curve
     cluster = two_node_cluster()
-    pts = surface_sample((0, 1), cluster, grid_density=40)
-    e = np.array([p.energy for p in pts])
+    _, e = surface_sample((0, 1), cluster, grid_density=40)
     assert np.all(np.diff(e[:, 0]) < 0)
     assert np.all(np.diff(e[:, 1]) > 0)
 
@@ -134,16 +143,6 @@ def test_min_norm_guard():
         min_norm_weights(np.ones((17, 2)))
 
 
-def test_lifetime_from_weights():
-    pts = np.array([[1.0, 2.0], [2.0, 1.0]])
-    life = lifetime_from_weights(pts, [0.5, 0.5], [3.0, 3.0])
-    assert life == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        lifetime_from_weights(pts, [0.7, 0.7], [3.0, 3.0])
-    with pytest.raises(ValidationError):
-        lifetime_from_weights(np.zeros((1, 2)), [1.0], [1.0, 1.0])
-
-
 def test_best_over_subsets_worked_symmetric_instance():
     # two mirrored low-rate points with per-node loads (2, 1): the best
     # single point gives lifetime 1, the balanced mixture gives exactly 4/3
@@ -162,6 +161,10 @@ def test_best_over_subsets_worked_symmetric_instance():
     assert seq == pytest.approx([1.0, 4.0 / 3.0], rel=1e-9)
     with pytest.raises(ValidationError):
         best_over_subsets(pts, energies, 0)
+    # an energy-free point lasts forever and takes the whole mixture
+    free = best_over_subsets(np.vstack([pts, np.zeros(2)]), energies, 2)
+    assert (free.lifetime, free.subset) == (np.inf, (0, 2))
+    assert list(free.weights) == [0.0, 1.0]
 
 
 def test_best_over_subsets_at_tiny_battery_scale():
@@ -172,21 +175,41 @@ def test_best_over_subsets_at_tiny_battery_scale():
     assert result.lifetime == pytest.approx(1e-13 / 2.2, rel=1e-12)
 
 
+def _two_point_lifetime(a, b, energies):
+    """1 / min over w in [0, 1] of max_k (w a_k + (1 - w) b_k) / E_k.
+
+    The max of lines is convex in w, so its minimum sits at an end of [0, 1]
+    or where two nodes' lines cross.
+    """
+    slope, base = (a - b) / energies, b / energies
+    ws = [0.0, 1.0]
+    for k, l in itertools.combinations(range(energies.size), 2):
+        if slope[k] != slope[l]:
+            w = (base[l] - base[k]) / (slope[k] - slope[l])
+            if 0.0 <= w <= 1.0:
+                ws.append(w)
+    return 1.0 / min(np.max(base + w * slope) for w in ws)
+
+
 def test_best_single_point_is_best_static_and_mixtures_bounded_by_lp():
-    # the mixture pipeline can never beat the cooperation LP over the same
-    # columns, and its m=1 value is the best static point's lifetime
+    # on 800 seeded low-rate clusters: L_1 is the best single point, L_2 the
+    # best two-point closed form, L_m never decreases, and L_N is the
+    # cooperation LP over all the points
     mode = Srra()
-    for seed in range(5):
-        cluster = make_cluster(np.random.default_rng(seed), 3, model="gauss")
+    for n, model, equal_energy, seed in itertools.product((2, 3), ("bit", "gauss"), (False, True), range(100)):
+        cluster = make_cluster(np.random.default_rng(seed), n, model=model, equal_energy=equal_energy)
         pts = srra_points(cluster, mode)
         energies = cluster.energies
-        singles = [float(np.min(energies / p.energy)) for p in pts]
-        assert best_over_subsets(pts, energies, 1).lifetime == pytest.approx(
-            max(singles), rel=1e-12
-        )
-        best, _ = best_over_all_m(pts, energies)
-        plan = solve_lp(build_columns(cluster, mode), energies)
-        assert best <= plan.lifetime + 1e-6
+        p = np.array([pt.energy for pt in pts])
+        best, seq = best_over_all_m(pts, energies, max_m=n)
+        lp = solve_lp(pts, energies).lifetime
+        assert len(seq) == n
+        assert best == pytest.approx(lp, rel=1e-9)
+        assert max(seq) <= lp * (1 + 1e-12)
+        assert all(later >= earlier * (1 - 1e-12) for earlier, later in zip(seq, seq[1:]))
+        assert seq[0] == pytest.approx(np.max(np.min(energies / p, axis=1)), rel=1e-12)
+        pairs = itertools.combinations(range(len(p)), 2)
+        assert seq[1] == pytest.approx(max(_two_point_lifetime(p[i], p[j], energies) for i, j in pairs), rel=1e-9)
 
 
 def test_min_norm_output_never_beaten_by_random_combinations():
@@ -278,6 +301,17 @@ def test_crossing_winner_is_static_winner():
         report = equal_energy_crossing(cluster)
         static = brute_force(cluster, __import__("clusterlife").Shannon())
         assert report.winner == static.order
+
+
+def test_hull_2d_is_scale_free():
+    # tiny path losses scale every energy alike; the hull keeps its vertices
+    _, energy = surface_sample((0, 1), two_node_cluster(), grid_density=40)
+    hull = hull_2d(energy)
+    assert len(hull) == 39
+    for scale in (1e-12, 1e-9, 1e12):
+        scaled = hull_2d(energy * scale)
+        assert scaled.shape == hull.shape
+        assert scaled == pytest.approx(hull * scale, rel=1e-12)
 
 
 def test_hull_2d():
