@@ -24,6 +24,7 @@ from .model import ClusterSpec
 from . import static_sched
 
 _SUBSET_GUARD = 200000
+_SRRA_POINTS_MAX_NODES = 8  # N! columns: 40320 at the limit
 _LATTICE_MAX_POINTS = 10**6  # two (K, N) float arrays: at N = 3, ~50 MB kept, ~180 MB peak at the limit
 _MIN_NORM_MAX_POINTS = 16
 
@@ -56,7 +57,7 @@ def surface_sample(order, cluster: ClusterSpec, grid_density: int = 50) -> tuple
 
 def srra_points(cluster: ClusterSpec, mode: Srra) -> list[Column]:
     """The N! allocation-free columns of the low-rate regime."""
-    if cluster.n > static_sched.BRUTE_FORCE_MAX_NODES:
+    if cluster.n > _SRRA_POINTS_MAX_NODES:
         raise GuardError("full schedule enumeration is too large")
     return build_columns(cluster, mode, orders=static_sched.all_orders(cluster.n))
 

@@ -15,9 +15,10 @@ are supported:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +30,37 @@ HALF_LOG2_2PIE = 0.5 * math.log2(2.0 * math.pi * math.e)
 # Polling sequences handled per batch by ClusterSpec.loads: the stacked
 # (block, k, k) work arrays stay at a few MB however many orders are asked for.
 _LOADS_BLOCK = 4096
+
+
+class SubsetLayer(NamedTuple):
+    """The node sets of one size p, as bit masks, and their one-node extensions."""
+
+    masks: np.ndarray  # (m,) ascending masks of the size-p sets
+    free: np.ndarray  # (m, N - p) ascending ids of the nodes outside each set
+    after: np.ndarray  # (m, N - p) mask of each set plus each of its free nodes
+    seqs: np.ndarray  # (m * (N - p), p + 1) sequences [sorted set..., free node], row-major over (set, node)
+
+
+@functools.lru_cache(maxsize=4)
+def subset_layers(n: int) -> tuple[SubsetLayer, ...]:
+    """The proper subsets of nodes 0..n-1 grouped by size, p = 0..n-1.
+
+    The arrays depend on n alone, so they are cached and read-only.
+    """
+    masks = np.arange(1 << n)
+    inside = (masks[:, None] >> np.arange(n)) & 1 == 1
+    size = inside.sum(axis=1)
+    layers = []
+    for p in range(n):
+        sets = masks[size == p]
+        free = np.nonzero(~inside[sets])[1].reshape(-1, n - p)
+        members = np.nonzero(inside[sets])[1].reshape(len(sets), p)
+        seqs = np.concatenate([np.repeat(members, n - p, axis=0), free.reshape(-1, 1)], axis=1)
+        layer = SubsetLayer(sets, free, sets[:, None] | (1 << free), seqs)
+        for arr in layer:
+            arr.flags.writeable = False
+        layers.append(layer)
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -179,6 +211,10 @@ class ClusterSpec:
         ranked = np.sort(seqs, axis=1)
         if np.any(ranked[:, 1:] == ranked[:, :-1]):
             raise ValidationError("a polling sequence repeats a node id")
+        return self._checked_loads(seqs)
+
+    def _checked_loads(self, seqs: np.ndarray) -> np.ndarray:
+        """``loads`` on an (M, k) integer array already known to hold valid sequences."""
         k = seqs.shape[1]
         out = np.empty(seqs.shape)
         for start in range(0, len(seqs), _LOADS_BLOCK):
@@ -203,6 +239,19 @@ class ClusterSpec:
                     )
             out[start:start + len(block)] = h
         return out
+
+    def subset_loads(self) -> np.ndarray:
+        """(2^N, N) table of the bits node k sends once the node set S is decoded.
+
+        Row S is a bit mask (node j is in S when bit j is set); entries with k
+        in S are NaN. A node's conditional load depends only on the set polled
+        before it, so this table prices every polling order. Each size of S is
+        one ``loads`` pass over the sequences ``[sorted(S)..., k]``.
+        """
+        table = np.full((1 << self.n, self.n), np.nan)
+        for layer in subset_layers(self.n):
+            table[layer.masks[:, None], layer.free] = self._checked_loads(layer.seqs)[:, -1].reshape(layer.free.shape)
+        return table
 
     def conditional_bits(self, i: int, prefix: Sequence[int]) -> float:
         """Bits node i must send given a polled prefix."""

@@ -1,7 +1,8 @@
-"""Static schedule search: exhaustive, greedy, and path-based heuristics.
+"""Static schedule search: exact, greedy, and path-based heuristics.
 
-A static schedule is one polling order used every slot. Searching over the
-N! orders is exact but only viable for small N; the greedy schedulers cover
+A static schedule is one polling order used every slot. The exact search is
+a dynamic program over the 2^N sets of polled nodes, so it runs to N = 14
+where the N! orders could not be enumerated; the greedy schedulers cover
 the two structured regimes (Nearest Neighbor Next for the bit-distance model,
 Minimum Cost Next for the low-rate regime) and a shortest-open-path heuristic
 handles the Gaussian model, where short polling paths keep total transmission
@@ -10,18 +11,36 @@ time small.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .allocation import equalize_batch, lifetime_srra_batch
-from .energy import EnergyMode, Srra, tx_energy
-from .errors import GuardError, ValidationError
-from .model import BitDistance, ClusterSpec, GaussianField
+from .energy import LN2, EnergyMode, Srra, min_time_for_energy, tx_energy
+from .errors import GuardError, NumericError, ValidationError
+from .model import BitDistance, ClusterSpec, GaussianField, subset_layers
 
-BRUTE_FORCE_MAX_NODES = 8
+# The largest N at which brute_force on seeded test clusters (both models and
+# modes, default, equal-battery and E = d families) stays under 5 s on a
+# 2-core host; the Gaussian Shannon search doubles its time with each node.
+BRUTE_FORCE_MAX_NODES = 14
+
+# Orders the exact search lists as near-ties before it refuses: 8!, the most
+# the N! enumeration it replaced ever held.
+_MAX_TIED_ORDERS = 40320
+
+# Relative band below the optimal lifetime whose orders are judged by the
+# evaluator: far wider than the equalizer's noise, so it holds every order the
+# tie rule could pick. The certificate lies within it above the optimum.
+_BAND = 1e-9
+# Offsets in ln L, in bands around a root estimate, of one closing call: where
+# the candidates are listed, the bracket pair, and the certificate.
+_CLOSING = (-1.2, -0.2, 0.2, 0.45)
+_SEARCH_STEPS = 200
 
 # Lifetimes within this fraction of the best are treated as ties and broken
 # lexicographically.
@@ -39,6 +58,7 @@ class StaticResult:
     per_slot_energy: np.ndarray  # by node id
     times: np.ndarray | None = None  # equalized split by node id; Shannon mode only
     bottleneck: int | None = None  # SRRA mode only
+    upper_bound: float | None = None  # brute_force only: no order lasts longer
 
 
 class OrderEvaluation(NamedTuple):
@@ -120,15 +140,234 @@ def all_orders(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=int)
 
 
+def _bottleneck(ratio: np.ndarray) -> np.ndarray:
+    """Suffix table of the bottleneck DP over node sets.
+
+    ``ratio[S, k]`` is node k's lifetime when polled after the set S;
+    ``value[S]`` is the largest minimum of it over the nodes still to poll,
+    so ``value[0]`` is the best order's lifetime.
+    """
+    value = np.empty(len(ratio))
+    value[-1] = np.inf
+    for masks, free, after, _ in reversed(subset_layers(ratio.shape[1])):
+        value[masks] = np.minimum(ratio[masks[:, None], free], value[after]).max(axis=1)
+    return value
+
+
+def _srra_search(cluster: ClusterSpec, mode: Srra, table: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The lexicographically first order within the tie tolerance of the optimum V*, and V*."""
+    with np.errstate(divide="ignore"):
+        ratio = cluster.energies / (mode.c * table * cluster.path_losses)
+    value = _bottleneck(ratio)
+    tied = value[0] * (1.0 - _TIE_TOL)
+    order, mask = [], 0
+    for _ in range(cluster.n):
+        # value is an exact max of exact mins, so some free node always qualifies
+        k = next(k for k in range(cluster.n)
+                 if not mask >> k & 1 and min(ratio[mask, k], value[mask | 1 << k]) >= tied)
+        order.append(k)
+        mask |= 1 << k
+    return tuple(order), float(value[0])
+
+
+class _SlotTimes:
+    """Slot time each node needs after each node set to last a trial lifetime.
+
+    ``at(lifetimes)`` returns (K, 2^N, N) arrays: the time t[j, S, k] node k
+    needs when polled after S for the cluster to last ``lifetimes[j]`` (inf
+    past the node's asymptote E/(d h ln 2)), and its derivative in ln L. Each
+    distinct (node, load) pair goes through one ``min_time_for_energy`` call.
+    """
+
+    def __init__(self, cluster: ClusterSpec, table: np.ndarray):
+        self.sets, self.nodes = np.nonzero(~np.isnan(table))
+        pairs, inverse = np.unique(np.stack([self.nodes, table[self.sets, self.nodes]], axis=1), axis=0,
+                                   return_inverse=True)
+        self.inverse = inverse.reshape(-1)
+        node = pairs[:, 0].astype(int)
+        self.h = pairs[:, 1]
+        self.energies = cluster.energies[node]
+        self.path_losses = cluster.path_losses[node]
+        self.shape = table.shape
+
+    def at(self, lifetimes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            budget = self.energies / (lifetimes[:, None] * self.path_losses)
+            feasible = budget / (self.h * LN2) > 1.0
+            t = min_time_for_energy(np.where(feasible, self.h, 0.0), np.where(feasible, budget, 1.0))
+            u = self.h * LN2 / t
+            slope = np.where(feasible & (self.h > 0), t / (u / -np.expm1(-u) - 1.0), 0.0)
+        times = np.full((len(lifetimes), *self.shape), np.nan)
+        slopes = times.copy()
+        times[:, self.sets, self.nodes] = np.where(feasible, t, np.inf)[:, self.inverse]
+        slopes[:, self.sets, self.nodes] = slope[:, self.inverse]
+        return times, slopes
+
+
+def _least_time(times: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix DP per trial lifetime: the least total time over the orders of the
+    nodes outside each set, and the ln-L derivative along that order."""
+    rest = np.zeros(times.shape[:2])
+    rest_slope = np.zeros(times.shape[:2])
+    for masks, free, after, _ in reversed(subset_layers(times.shape[2])):
+        total = times[:, masks[:, None], free] + rest[:, after]
+        pick = np.argmin(total, axis=2)[..., None]
+        rest[:, masks] = np.take_along_axis(total, pick, 2)[..., 0]
+        slope = slopes[:, masks[:, None], free] + rest_slope[:, after]
+        rest_slope[:, masks] = np.take_along_axis(slope, pick, 2)[..., 0]
+    return rest, rest_slope
+
+
+def _orders_within(times: np.ndarray, rest: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every order whose times add up to at most 1, in lexicographic order, with its loads by node id.
+
+    ``times`` is one trial lifetime's (2^N, N) slot-time table and ``rest``
+    its suffix minimum, which prunes each prefix that no order completes.
+    """
+    n = table.shape[1]
+    orders = np.zeros((1, 0), dtype=int)
+    masks = np.zeros(1, dtype=int)
+    spent = np.zeros(1)
+    loads = np.zeros((1, n))
+    for size in range(n):
+        free = np.nonzero((masks[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(masks), n - size)
+        after = masks[:, None] | (1 << free)
+        total = spent[:, None] + times[masks[:, None], free]
+        rows, cols = np.nonzero(total + rest[after] <= 1.0)
+        # each kept prefix is completed by at least one order, so this counts orders from below
+        if len(rows) > _MAX_TIED_ORDERS:
+            raise GuardError(f"over {_MAX_TIED_ORDERS} orders lie within {_BAND:g} of the best lifetime")
+        node = free[rows, cols]
+        loads = loads[rows]
+        loads[np.arange(len(rows)), node] = table[masks[rows], node]
+        orders = np.column_stack([orders[rows], node])
+        masks, spent = after[rows, cols], total[rows, cols]
+    return orders, loads
+
+
+def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orders within the band below the optimal lifetime L*, and a lifetime no order reaches.
+
+    F(L), the least total slot time over all orders, grows with L, and L* is
+    the root of F(L) = 1. A safeguarded Newton loop on ln L narrows a bracket
+    [lo, hi] with F(e^lo) <= 1 < F(e^hi) until one closing call brackets
+    L* within 0.4 of ``_BAND``; the orders that fit the slot one band below
+    the bracket are listed with their loads by node id, and the point a
+    quarter band above it, 1/4 to 0.65 of the band above L*, is the
+    certificate.
+    """
+    slot = _SlotTimes(cluster, table)
+    energy = cluster.energies / cluster.path_losses
+    with np.errstate(divide="ignore", over="ignore"):
+        # no order lasts to the low-rate lifetime at c = ln 2; some order lasts
+        # to its lifetime under an equal split of the slot
+        cap = _bottleneck(energy / (LN2 * table))[0]
+        floor = _bottleneck(energy / tx_energy(table, 1.0 / cluster.n))[0]
+    hi = math.log(cap)
+    reach = 1.0
+    lo = math.log(floor) - 1e-6 if floor > 0 else hi - reach
+    # F(e^lo) <= 1 is known, not evaluated, unless the equal split overflowed
+    f_lo = -np.inf if floor > 0 else np.nan
+    f_hi = slope_lo = slope_hi = np.nan
+    points = lo + (hi - lo) * np.array([1.0, 2.0]) / 3 if floor > 0 else np.array([lo])
+    for _ in range(_SEARCH_STEPS):
+        times, slopes = slot.at(np.exp(points))
+        rest, rest_slope = _least_time(times, slopes)
+        for x, f, slope in zip(points, rest[:, 0], rest_slope[:, 0]):
+            if f <= 1.0 and x >= lo:
+                lo, f_lo, slope_lo = x, f, slope
+            elif f > 1.0 and x < hi:
+                hi, f_hi, slope_hi = x, f, slope
+        if np.isnan(f_lo):  # step down, twice as far each time, until an order fits
+            reach *= 2.0
+            lo = hi - reach
+            points = np.array([lo])
+            continue
+        if len(points) == len(_CLOSING) and rest[1, 0] <= 1.0 < rest[2, 0]:
+            break
+        if f_lo == 1.0:
+            x, near = lo, True
+        elif np.isfinite(f_lo) and np.isfinite(f_hi) and hi - lo < 1e-6:
+            # F is as good as linear across a bracket this narrow: interpolate
+            x, near = lo + (1.0 - f_lo) / (f_hi - f_lo) * (hi - lo), True
+        else:
+            # Newton from the evaluated bracket end with the smaller residual,
+            # else from the other; bisect if neither step lands inside
+            ends = [(abs(f - 1.0), end, end - (f - 1.0) / slope)
+                    for end, f, slope in ((lo, f_lo, slope_lo), (hi, f_hi, slope_hi)) if np.isfinite(f) and slope > 0]
+            for _, end, x in sorted(ends):
+                near = abs(x - end) <= 1e-7
+                if lo < x < hi or near and lo <= x <= hi:
+                    break
+            else:
+                x, near = 0.5 * (lo + hi), False
+        # near the root, one closing call brackets it and prices the listing
+        # and certificate points too
+        points = x + _BAND * np.array(_CLOSING) if near else np.array([x])
+    else:
+        raise NumericError(f"exact search did not bracket the optimal lifetime in {_SEARCH_STEPS} steps")
+    if not rest[3, 0] > 1.0:
+        raise NumericError("exact search lost its bracket on the optimal lifetime")
+    orders, loads = _orders_within(times[0], rest[0], table)
+    return orders, loads, math.exp(points[3])
+
+
 def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
-    """Exhaustive search over all N! orders in one ``evaluate_orders`` call; guarded at N <= 8."""
+    """Exact best static order by dynamic programming over the 2^N node sets.
+
+    A node's conditional load depends only on the set polled before it
+    (``ClusterSpec.subset_loads``), so no order is enumerated:
+
+    * SRRA mode: the bottleneck DP V(S) = max over i in S of
+      min(V(S - i), E_i / (c h(i | S - i) d_i)) gives the optimum V*, and the
+      lexicographically first order within 1e-12 of it is read greedily from
+      the suffix table.
+    * Shannon mode: F(L), the least total slot time over all orders at
+      lifetime L, is a DP over the same sets; a safeguarded Newton loop on
+      ln L brackets the root L* of F(L) = 1 within 1e-9, and every order
+      that fits the slot 1e-9 below the bracket is listed. Orders whose
+      loads match node for node, up to swaps between nodes of equal battery
+      and path loss, share a lifetime; the first of each class is kept, and
+      the rest are judged by one ``evaluate_orders`` call and the 1e-12
+      lexicographic tie rule. The band is far wider than the evaluator's
+      noise, so a small batch decides ties that a batch of all N! orders
+      blurred at sub-slot lifetimes.
+
+    The winner is priced by ``evaluate_schedule``. ``upper_bound`` certifies
+    optimality: no order lasts longer (V* in SRRA mode; in Shannon mode an L
+    at most 1e-9 above L* with F(L) > 1). Guarded at N <= BRUTE_FORCE_MAX_NODES
+    and at 40320 orders within the band.
+    """
     if cluster.n > BRUTE_FORCE_MAX_NODES:
         raise GuardError(
             f"brute force is guarded at N <= {BRUTE_FORCE_MAX_NODES}, got N = {cluster.n}"
         )
-    orders = all_orders(cluster.n)
-    order, _ = _best_order(orders, evaluate_orders(cluster, orders, mode).lifetimes)
-    return evaluate_schedule(order, cluster, mode, method="brute")
+    table = cluster.subset_loads()
+    if isinstance(mode, Srra):
+        order, bound = _srra_search(cluster, mode, table)
+    else:
+        orders, loads, bound = _shannon_search(cluster, table)
+        orders = orders[_first_of_each_lifetime(cluster, loads)]
+        order = orders[0]
+        if len(orders) > 1:  # a one-row batch would repeat the evaluate_schedule call below
+            order, _ = _best_order(orders, evaluate_orders(cluster, orders, mode).lifetimes)
+    return dataclasses.replace(evaluate_schedule(order, cluster, mode, method="brute"), upper_bound=bound)
+
+
+def _first_of_each_lifetime(cluster: ClusterSpec, loads: np.ndarray) -> np.ndarray:
+    """Row indices of the first order of each class with equal lifetimes by symmetry.
+
+    A lifetime depends only on each node's (battery, path loss, load), so
+    two rows of by-node loads that differ by swapping loads between nodes
+    of equal battery and path loss share it.
+    """
+    key = loads.copy()
+    group = np.unique(np.stack([cluster.energies, cluster.path_losses], axis=1), axis=0, return_inverse=True)[1]
+    for g in np.unique(group):
+        peers = np.nonzero(group.reshape(-1) == g)[0]
+        if len(peers) > 1:
+            key[:, peers] = np.sort(key[:, peers], axis=1)
+    return np.sort(np.unique(key, axis=0, return_index=True)[1])
 
 
 def _greedy_chains(n: int, gap) -> list[list[int]]:

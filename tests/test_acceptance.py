@@ -16,6 +16,7 @@ from clusterlife import (
     BitDistance,
     ClusterSpec,
     GaussianField,
+    GuardError,
     NodeSpec,
     Shannon,
     Srra,
@@ -206,6 +207,40 @@ def test_criterion_04_greedy_min_cost_reconstruction():
     )
     assert lifetime_failures == 0
     assert lex_failures == 0
+
+
+def test_greedy_nearest_neighbor_past_enumeration():
+    # criterion 03's claim checked against the subset DP at N = 8-9, where the
+    # N! enumeration stopped; at N = 9 the DP refuses clusters on which more
+    # than 40320 orders tie, and those are counted, not compared
+    refused = {8: 0, 9: 0}
+    failures = []
+    for k in range(40):
+        n = 8 + k % 2
+        cluster = make_cluster(np.random.default_rng(5000 + k), n, model="bit", unit_ratio=True)
+        try:
+            exact = brute_force(cluster, Shannon())
+        except GuardError:
+            refused[n] += 1
+            continue
+        greedy = nnn(cluster, Shannon())
+        if abs(greedy.lifetime - exact.lifetime) > 1e-9 * max(1.0, exact.lifetime):
+            failures.append(k)
+    assert refused[8] == 0
+    assert failures == []
+
+
+def test_greedy_min_cost_past_enumeration():
+    # criterion 04's lifetime claim checked against the subset DP at N = 8-12
+    failures = []
+    for k in range(100):
+        n = 8 + k % 5
+        cluster = make_cluster(np.random.default_rng(6000 + k), n, model="gauss")
+        greedy = mcn(cluster, Srra())
+        exact = brute_force(cluster, Srra())
+        if abs(greedy.lifetime - exact.lifetime) > 1e-9 * max(1.0, exact.lifetime):
+            failures.append(k)
+    assert failures == []
 
 
 def _entropy_pair_cluster(energy=1.0):

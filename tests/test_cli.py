@@ -5,6 +5,7 @@ import re
 import pytest
 
 from clusterlife.cli import main
+from clusterlife.static_sched import BRUTE_FORCE_MAX_NODES
 
 
 def run(args, capsys):
@@ -166,9 +167,43 @@ def test_validation_errors_exit_2(scenario_file, tmp_path, capsys):
 
 def test_guard_errors_exit_3(tmp_path, capsys):
     big = tmp_path / "big.json"
-    assert run(["gen", "--seed", "1", "--nodes", "9", "--out", str(big)], capsys)[0] == 0
+    nodes = str(BRUTE_FORCE_MAX_NODES + 1)
+    assert run(["gen", "--seed", "1", "--nodes", nodes, "--out", str(big)], capsys)[0] == 0
     code, _, err = run(["static-opt", "--scenario", str(big)], capsys)
     assert code == 3 and "guard violation" in err
+
+
+def test_all_tied_orders_past_the_enumeration_limit_exit_3(tmp_path, capsys):
+    # every pair is farther apart than the 5-bit cap and every battery and path
+    # loss is equal, so all 9! orders send the same loads and tie
+    doc = {
+        "version": 1,
+        "base_station": [0.0, 0.0],
+        "path_loss": {"rule": "explicit"},
+        "correlation": {"model": "bit_distance", "n": 5},
+        "energy_mode": {"mode": "shannon"},
+        "nodes": [{"id": i, "x": 6.0 * i, "y": 1.0, "energy": 1.0, "path_loss": 1.0} for i in range(9)],
+    }
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["static-opt", "--scenario", str(path)], capsys)
+    assert (code, out) == (3, "") and "40320" in err
+
+
+def test_static_opt_breaks_a_tie_lexicographically(tmp_path, capsys):
+    # The one-row lifetimes of 0,3,4,2,6,1,5 and 0,3,4,6,2,1,5 are
+    # bit-identical, so the tie rule picks the smaller order. In one batch
+    # with all 5040 orders the equalizer pins these sub-slot lifetimes only
+    # to ~1e-10, coarser than the 1e-12 tie tolerance.
+    scn = tmp_path / "seed11.json"
+    assert run(["gen", "--seed", "11", "--nodes", "7", "--model", "gauss", "--out", str(scn)], capsys)[0] == 0
+    lifetimes = set()
+    for order in ("0,3,4,2,6,1,5", "0,3,4,6,2,1,5"):
+        code, out, _ = run(["eval", "--scenario", str(scn), "--order", order], capsys)
+        lifetimes.add(next(line for line in out.splitlines() if line.startswith("lifetime:")))
+    assert len(lifetimes) == 1
+    code, out, _ = run(["static-opt", "--scenario", str(scn)], capsys)
+    assert code == 0 and "order: 0,3,4,2,6,1,5" in out.splitlines()
 
 
 @pytest.mark.parametrize("value", ["abc", 2.7, True, 0])

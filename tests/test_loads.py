@@ -66,3 +66,14 @@ def test_validation():
     degenerate = ClusterSpec(close, GaussianField(1.0, 1.0, offset=0.0))
     with pytest.raises(ModelDegeneracyError, match=r"node 1 given \[0\]"):
         degenerate.loads([[0, 1]])
+
+
+@checked
+@given(clusters, st.data())
+def test_subset_table_prices_every_order(cluster, data):
+    table = cluster.subset_loads()
+    order = data.draw(st.permutations(range(cluster.n)))
+    masks = np.cumsum([0] + [1 << k for k in order[:-1]])
+    assert cluster.loads([order])[0] == pytest.approx(table[masks, order], rel=1e-12)
+    inside = (np.arange(1 << cluster.n)[:, None] >> np.arange(cluster.n)) & 1 == 1
+    assert np.array_equal(np.isnan(table), inside)

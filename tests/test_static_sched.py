@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterlife import (
     BitDistance,
@@ -18,7 +20,15 @@ from clusterlife import (
     nnn,
 )
 from clusterlife.allocation import equalize_batch, lifetime_srra_batch
-from clusterlife.static_sched import path_length, shp_heuristic, two_opt_path
+from clusterlife.energy import min_time_for_energy
+from clusterlife.static_sched import (
+    BRUTE_FORCE_MAX_NODES,
+    all_orders,
+    evaluate_orders,
+    path_length,
+    shp_heuristic,
+    two_opt_path,
+)
 from conftest import make_cluster
 
 
@@ -34,6 +44,17 @@ def naive_brute(cluster, mode):
         if best is None or lifetime > best[0] + 1e-12:
             best = (lifetime, order)
     return best
+
+
+def enumerated_brute_force(cluster, mode):
+    """The N! search the subset DP replaced: every order judged in one
+    ``evaluate_orders`` batch, ties within 1e-12 of the best broken
+    lexicographically, the winner priced on its own."""
+    orders = all_orders(cluster.n)
+    lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
+    tied = np.nonzero(lifetimes >= lifetimes.max() * (1.0 - 1e-12))[0]
+    order = min(tuple(int(v) for v in orders[i]) for i in tied)
+    return evaluate_schedule(order, cluster, mode, method="brute")
 
 
 def test_evaluate_schedule_shannon():
@@ -75,9 +96,68 @@ def test_brute_force_matches_naive_oracle(model, mode):
 
 
 def test_brute_force_guard():
-    cluster = make_cluster(np.random.default_rng(2), 9, model="bit")
+    cluster = make_cluster(np.random.default_rng(2), BRUTE_FORCE_MAX_NODES + 1, model="bit")
     with pytest.raises(GuardError):
         brute_force(cluster, Shannon())
+
+
+FAMILIES = {"default": {}, "equal_energy": {"equal_energy": True}, "unit_ratio": {"unit_ratio": True}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 7),
+    st.sampled_from(["bit", "gauss"]),
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from([Shannon(), Srra()]),
+)
+def test_subset_dp_matches_enumeration(seed, n, model, family, mode):
+    cluster = make_cluster(np.random.default_rng(seed), n, model=model, **FAMILIES[family])
+    got = brute_force(cluster, mode)
+    ref = enumerated_brute_force(cluster, mode)
+    assert got.lifetime == pytest.approx(ref.lifetime, rel=1e-12, abs=0)
+    if got.order != ref.order:
+        # only a tie may move the order, and then to the lexicographically smaller one
+        ours, theirs = got.lifetime, evaluate_schedule(ref.order, cluster, mode).lifetime
+        assert abs(ours - theirs) <= 1e-12 * max(ours, theirs)
+        assert got.order < ref.order
+
+
+@pytest.mark.parametrize("model", ["bit", "gauss"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_upper_bound_certifies_every_order(model, family):
+    for seed in range(3):
+        cluster = make_cluster(np.random.default_rng(seed), 5, model=model, **FAMILIES[family])
+        orders = all_orders(cluster.n)
+        loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
+        for mode in (Shannon(), Srra()):
+            res = brute_force(cluster, mode)
+            bound = res.upper_bound
+            lifetimes = evaluate_orders(cluster, orders, mode).lifetimes
+            assert lifetimes.max() <= bound * (1 + 1e-15)
+            assert res.lifetime <= bound * (1 + 1e-15)
+            if isinstance(mode, Srra):
+                assert bound == pytest.approx(lifetimes.max(), rel=1e-14, abs=0)
+                continue
+            # F(bound) > 1: no order fits its slot at the bound, which lies within 1e-9 of the optimum
+            assert bound <= res.lifetime * (1 + 1e-9)
+            budget = cluster.energies / (bound * cluster.path_losses)
+            feasible = np.all(budget > loads * np.log(2.0), axis=1)
+            times = min_time_for_energy(np.where(feasible[:, None], loads, 0.0), budget)
+            assert np.all(~feasible | (times.sum(axis=1) > 1.0))
+
+
+def test_search_starts_below_an_overflowing_equal_split():
+    # 400-bit loads: the equal-split energy 2^(400 * 3) overflows, so the
+    # search steps down from the low-rate cap to find its lower bracket end
+    nodes = [NodeSpec(i, (200.0 * i, 0.0), 1.0, 1.0) for i in range(3)]
+    cluster = ClusterSpec(nodes, BitDistance(400))
+    res = brute_force(cluster, Shannon())
+    loads = cluster.loads(all_orders(3))
+    for bound, fits in ((res.upper_bound, False), (res.upper_bound * (1 - 1e-9), True)):
+        totals = min_time_for_energy(loads, 1.0 / bound).sum(axis=1)
+        assert (totals.min() <= 1.0) == fits
 
 
 def test_tie_break_is_lexicographic():
