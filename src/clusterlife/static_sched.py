@@ -29,9 +29,9 @@ from .model import BitDistance, ClusterSpec, GaussianField, subset_layers
 # 2-core host; the Gaussian Shannon search doubles its time with each node.
 BRUTE_FORCE_MAX_NODES = 14
 
-# Orders the exact search lists as near-ties before it refuses: 8!, the most
-# the N! enumeration it replaced ever held.
-_MAX_TIED_ORDERS = 40320
+# Load classes of near-tied prefixes the exact search keeps in one layer
+# before it refuses: 8!, the most orders the N! enumeration it replaced held.
+_MAX_TIED_CLASSES = 40320
 
 # Relative band below the optimal lifetime whose orders are judged by the
 # evaluator: far wider than the equalizer's noise, so it holds every order the
@@ -218,12 +218,20 @@ def _least_time(times: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.n
     return rest, rest_slope
 
 
-def _orders_within(times: np.ndarray, rest: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every order whose times add up to at most 1, in lexicographic order, with its loads by node id.
+def _orders_within(cluster: ClusterSpec, times: np.ndarray, rest: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The first order of each load class whose times add up to at most 1, in lexicographic order.
 
     ``times`` is one trial lifetime's (2^N, N) slot-time table and ``rest``
     its suffix minimum, which prunes each prefix that no order completes.
+    Two prefixes of one node set whose loads match node for node, up to swaps
+    between nodes of equal battery and path loss, are in one load class: they
+    have the same completions, which carry the same loads up to those swaps
+    and so share a lifetime. Each layer keeps only the first prefix of each
+    class, whose completions come first lexicographically.
     """
+    _, group, count = np.unique(np.stack([cluster.energies, cluster.path_losses], axis=1), axis=0,
+                                return_inverse=True, return_counts=True)
+    peers = [np.nonzero(group.reshape(-1) == g)[0] for g in np.nonzero(count > 1)[0]]
     n = table.shape[1]
     orders = np.zeros((1, 0), dtype=int)
     masks = np.zeros(1, dtype=int)
@@ -234,25 +242,30 @@ def _orders_within(times: np.ndarray, rest: np.ndarray, table: np.ndarray) -> tu
         after = masks[:, None] | (1 << free)
         total = spent[:, None] + times[masks[:, None], free]
         rows, cols = np.nonzero(total + rest[after] <= 1.0)
-        # each kept prefix is completed by at least one order, so this counts orders from below
-        if len(rows) > _MAX_TIED_ORDERS:
-            raise GuardError(f"over {_MAX_TIED_ORDERS} orders lie within {_BAND:g} of the best lifetime")
         node = free[rows, cols]
         loads = loads[rows]
         loads[np.arange(len(rows)), node] = table[masks[rows], node]
-        orders = np.column_stack([orders[rows], node])
-        masks, spent = after[rows, cols], total[rows, cols]
-    return orders, loads
+        masks = after[rows, cols]
+        key = np.column_stack([loads, masks])
+        for p in peers:
+            key[:, p] = np.sort(key[:, p], axis=1)
+        # rows come in lexicographic order, so the first of each key is the smallest prefix
+        keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        if len(keep) > _MAX_TIED_CLASSES:
+            raise GuardError(f"over {_MAX_TIED_CLASSES} load classes of prefixes lie within {_BAND:g} of the best lifetime")
+        orders = np.column_stack([orders[rows[keep]], node[keep]])
+        masks, spent, loads = masks[keep], total[rows, cols][keep], loads[keep]
+    return orders
 
 
-def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray, float]:
     """Orders within the band below the optimal lifetime L*, and a lifetime no order reaches.
 
     F(L), the least total slot time over all orders, grows with L, and L* is
     the root of F(L) = 1. A safeguarded Newton loop on ln L narrows a bracket
     [lo, hi] with F(e^lo) <= 1 < F(e^hi) until one closing call brackets
     L* within 0.4 of ``_BAND``; the orders that fit the slot one band below
-    the bracket are listed with their loads by node id, and the point a
+    the bracket are listed, the first of each load class, and the point a
     quarter band above it, 1/4 to 0.65 of the band above L*, is the
     certificate.
     """
@@ -308,8 +321,7 @@ def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray
         raise NumericError(f"exact search did not bracket the optimal lifetime in {_SEARCH_STEPS} steps")
     if not rest[3, 0] > 1.0:
         raise NumericError("exact search lost its bracket on the optimal lifetime")
-    orders, loads = _orders_within(times[0], rest[0], table)
-    return orders, loads, math.exp(points[3])
+    return _orders_within(cluster, times[0], rest[0], table), math.exp(points[3])
 
 
 def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
@@ -324,19 +336,19 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
       the suffix table.
     * Shannon mode: F(L), the least total slot time over all orders at
       lifetime L, is a DP over the same sets; a safeguarded Newton loop on
-      ln L brackets the root L* of F(L) = 1 within 1e-9, and every order
-      that fits the slot 1e-9 below the bracket is listed. Orders whose
-      loads match node for node, up to swaps between nodes of equal battery
-      and path loss, share a lifetime; the first of each class is kept, and
-      the rest are judged by one ``evaluate_orders`` call and the 1e-12
-      lexicographic tie rule. The band is far wider than the evaluator's
-      noise, so a small batch decides ties that a batch of all N! orders
-      blurred at sub-slot lifetimes.
+      ln L brackets the root L* of F(L) = 1 within 1e-9, and the orders that
+      fit the slot 1e-9 below the bracket are listed. Orders whose loads
+      match node for node, up to swaps between nodes of equal battery and
+      path loss, share a lifetime, so the listing keeps only the first prefix
+      of each such load class as it grows; the kept orders are judged by one
+      ``evaluate_orders`` call and the 1e-12 lexicographic tie rule. The
+      band is far wider than the evaluator's noise, so a small batch decides
+      ties that a batch of all N! orders blurred at sub-slot lifetimes.
 
     The winner is priced by ``evaluate_schedule``. ``upper_bound`` certifies
     optimality: no order lasts longer (V* in SRRA mode; in Shannon mode an L
     at most 1e-9 above L* with F(L) > 1). Guarded at N <= BRUTE_FORCE_MAX_NODES
-    and at 40320 orders within the band.
+    and at 40320 load classes of prefixes in one layer of the listing.
     """
     if cluster.n > BRUTE_FORCE_MAX_NODES:
         raise GuardError(
@@ -346,28 +358,11 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     if isinstance(mode, Srra):
         order, bound = _srra_search(cluster, mode, table)
     else:
-        orders, loads, bound = _shannon_search(cluster, table)
-        orders = orders[_first_of_each_lifetime(cluster, loads)]
+        orders, bound = _shannon_search(cluster, table)
         order = orders[0]
         if len(orders) > 1:  # a one-row batch would repeat the evaluate_schedule call below
             order, _ = _best_order(orders, evaluate_orders(cluster, orders, mode).lifetimes)
     return dataclasses.replace(evaluate_schedule(order, cluster, mode, method="brute"), upper_bound=bound)
-
-
-def _first_of_each_lifetime(cluster: ClusterSpec, loads: np.ndarray) -> np.ndarray:
-    """Row indices of the first order of each class with equal lifetimes by symmetry.
-
-    A lifetime depends only on each node's (battery, path loss, load), so
-    two rows of by-node loads that differ by swapping loads between nodes
-    of equal battery and path loss share it.
-    """
-    key = loads.copy()
-    group = np.unique(np.stack([cluster.energies, cluster.path_losses], axis=1), axis=0, return_inverse=True)[1]
-    for g in np.unique(group):
-        peers = np.nonzero(group.reshape(-1) == g)[0]
-        if len(peers) > 1:
-            key[:, peers] = np.sort(key[:, peers], axis=1)
-    return np.sort(np.unique(key, axis=0, return_index=True)[1])
 
 
 def _greedy_chains(n: int, gap) -> list[list[int]]:

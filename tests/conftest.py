@@ -48,6 +48,7 @@ def make_cluster(
     model="bit",
     equal_energy=False,
     unit_ratio=False,
+    groups=0,
     a=0.5,
     offset=GAUSS_OFFSET,
     bits=5,
@@ -55,7 +56,9 @@ def make_cluster(
     """Random cluster with path loss = distance to origin (base station).
 
     ``unit_ratio`` forces E_k = d_k so E/d == 1 for every node;
-    ``equal_energy`` forces identical batteries.
+    ``equal_energy`` forces identical batteries; ``groups`` > 0 gives node k
+    the battery and path loss of node k % groups, so each group's nodes are
+    interchangeable but for their positions.
     """
     pos = random_positions(rng, n)
     d = np.hypot(pos[:, 0], pos[:, 1])
@@ -65,6 +68,8 @@ def make_cluster(
         en = np.full(n, 1.5)
     else:
         en = rng.uniform(0.5, 2.0, size=n)
+    if groups:
+        d, en = d[np.arange(n) % groups], en[np.arange(n) % groups]
     corr = BitDistance(bits) if model == "bit" else GaussianField(1.0, a, offset=offset)
     nodes = [NodeSpec(i, (float(pos[i, 0]), float(pos[i, 1])), float(en[i]), float(d[i])) for i in range(n)]
     return ClusterSpec(nodes, corr)

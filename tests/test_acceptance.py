@@ -16,7 +16,6 @@ from clusterlife import (
     BitDistance,
     ClusterSpec,
     GaussianField,
-    GuardError,
     NodeSpec,
     Shannon,
     Srra,
@@ -210,23 +209,18 @@ def test_criterion_04_greedy_min_cost_reconstruction():
 
 
 def test_greedy_nearest_neighbor_past_enumeration():
-    # criterion 03's claim checked against the subset DP at N = 8-9, where the
-    # N! enumeration stopped; at N = 9 the DP refuses clusters on which more
-    # than 40320 orders tie, and those are counted, not compared
-    refused = {8: 0, 9: 0}
+    # criterion 03's claim checked against the subset DP at N = 8-14, where the
+    # N! enumeration stopped; unit-ratio bit clusters tie on many orders, which
+    # the DP merges by load class
+    seeds = [(5000 + k, 8 + k % 2) for k in range(40)]
+    seeds += [(8000 + 31 * n + k, n) for n in range(10, 15) for k in range(2)]
     failures = []
-    for k in range(40):
-        n = 8 + k % 2
-        cluster = make_cluster(np.random.default_rng(5000 + k), n, model="bit", unit_ratio=True)
-        try:
-            exact = brute_force(cluster, Shannon())
-        except GuardError:
-            refused[n] += 1
-            continue
+    for seed, n in seeds:
+        cluster = make_cluster(np.random.default_rng(seed), n, model="bit", unit_ratio=True)
+        exact = brute_force(cluster, Shannon())
         greedy = nnn(cluster, Shannon())
         if abs(greedy.lifetime - exact.lifetime) > 1e-9 * max(1.0, exact.lifetime):
-            failures.append(k)
-    assert refused[8] == 0
+            failures.append(seed)
     assert failures == []
 
 

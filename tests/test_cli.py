@@ -173,9 +173,10 @@ def test_guard_errors_exit_3(tmp_path, capsys):
     assert code == 3 and "guard violation" in err
 
 
-def test_all_tied_orders_past_the_enumeration_limit_exit_3(tmp_path, capsys):
+def test_all_tied_orders_past_the_enumeration_limit_pick_the_identity(tmp_path, capsys):
     # every pair is farther apart than the 5-bit cap and every battery and path
-    # loss is equal, so all 9! orders send the same loads and tie
+    # loss is equal, so all 9! orders send the same loads and tie; they form
+    # one load class, and the first order answers
     doc = {
         "version": 1,
         "base_station": [0.0, 0.0],
@@ -186,8 +187,11 @@ def test_all_tied_orders_past_the_enumeration_limit_exit_3(tmp_path, capsys):
     }
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(["static-opt", "--scenario", str(path)], capsys)
-    assert (code, out) == (3, "") and "40320" in err
+    code, out, _ = run(["static-opt", "--scenario", str(path)], capsys)
+    assert code == 0 and "order: 0,1,2,3,4,5,6,7,8" in out.splitlines()
+    lifetime = next(line for line in out.splitlines() if line.startswith("lifetime:"))
+    code, out, _ = run(["eval", "--scenario", str(path), "--order", "0,1,2,3,4,5,6,7,8"], capsys)
+    assert code == 0 and lifetime in out.splitlines()
 
 
 def test_static_opt_breaks_a_tie_lexicographically(tmp_path, capsys):

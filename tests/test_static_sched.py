@@ -101,7 +101,12 @@ def test_brute_force_guard():
         brute_force(cluster, Shannon())
 
 
-FAMILIES = {"default": {}, "equal_energy": {"equal_energy": True}, "unit_ratio": {"unit_ratio": True}}
+FAMILIES = {
+    "default": {},
+    "equal_energy": {"equal_energy": True},
+    "unit_ratio": {"unit_ratio": True},
+    "two_groups": {"groups": 2},
+}
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,6 +151,31 @@ def test_upper_bound_certifies_every_order(model, family):
             feasible = np.all(budget > loads * np.log(2.0), axis=1)
             times = min_time_for_energy(np.where(feasible[:, None], loads, 0.0), budget)
             assert np.all(~feasible | (times.sum(axis=1) > 1.0))
+
+
+def _many_tied_cluster():
+    # 42342 orders lie within 1e-9 of the optimum, in 36 load classes
+    return make_cluster(np.random.default_rng(5001), 9, model="bit", unit_ratio=True)
+
+
+def test_upper_bound_certifies_all_orders_of_a_tied_cluster():
+    cluster = _many_tied_cluster()
+    res = brute_force(cluster, Shannon())
+    orders = all_orders(cluster.n)
+    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
+    # bit loads take at most 5 values: price every (node, load value) pair once at the bound
+    h, index = np.unique(loads, return_inverse=True)
+    budget = (cluster.energies / (res.upper_bound * cluster.path_losses))[:, None]
+    feasible = budget > h * np.log(2.0)
+    times = np.where(feasible, min_time_for_energy(np.where(feasible, h, 0.0), budget), np.inf)
+    assert np.all(times[np.arange(cluster.n), index.reshape(loads.shape)].sum(axis=1) > 1.0)
+    assert res.lifetime >= res.upper_bound * (1 - 1e-9)
+
+
+def test_tied_class_guard(monkeypatch):
+    monkeypatch.setattr("clusterlife.static_sched._MAX_TIED_CLASSES", 35)
+    with pytest.raises(GuardError, match="load classes"):
+        brute_force(_many_tied_cluster(), Shannon())
 
 
 def test_search_starts_below_an_overflowing_equal_split():
