@@ -85,6 +85,9 @@ def equalize_batch(loads, energies, path_losses):
         over = s > 1.0
         hi[over] = mid[over]
         lo[~over] = mid[~over]
+    else:
+        worst = np.abs(s - 1.0).max()
+        raise NumericError(f"equalizer did not converge in {_MAX_ITER} steps: worst |sum(t) - 1| = {worst:.3g}")
     lifetimes[active_rows] = mid
     times[active_rows] = np.where(pos, t, 0.0)
     return lifetimes, times

@@ -29,17 +29,9 @@ from .model import BitDistance, ClusterSpec, GaussianField, subset_layers
 # 2-core host; the Gaussian Shannon search doubles its time with each node.
 BRUTE_FORCE_MAX_NODES = 14
 
-# Load classes of near-tied prefixes the exact search keeps in one layer
-# before it refuses: 8!, the most orders the N! enumeration it replaced held.
-_MAX_TIED_CLASSES = 40320
-
-# Relative band below the optimal lifetime whose orders are judged by the
-# evaluator: far wider than the equalizer's noise, so it holds every order the
-# tie rule could pick. The certificate lies within it above the optimum.
-_BAND = 1e-9
-# Offsets in ln L, in bands around a root estimate, of one closing call: where
-# the candidates are listed, the bracket pair, and the certificate.
-_CLOSING = (-1.2, -0.2, 0.2, 0.45)
+# The certificate lies this far above the bracket on ln L*: past the
+# evaluator's noise on any order's lifetime, and within 1e-9 of L*.
+_CERTIFICATE = 4.5e-10
 _SEARCH_STEPS = 200
 
 # Lifetimes within this fraction of the best are treated as ties and broken
@@ -218,56 +210,16 @@ def _least_time(times: np.ndarray, slopes: np.ndarray) -> tuple[np.ndarray, np.n
     return rest, rest_slope
 
 
-def _orders_within(cluster: ClusterSpec, times: np.ndarray, rest: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The first order of each load class whose times add up to at most 1, in lexicographic order.
-
-    ``times`` is one trial lifetime's (2^N, N) slot-time table and ``rest``
-    its suffix minimum, which prunes each prefix that no order completes.
-    Two prefixes of one node set whose loads match node for node, up to swaps
-    between nodes of equal battery and path loss, are in one load class: they
-    have the same completions, which carry the same loads up to those swaps
-    and so share a lifetime. Each layer keeps only the first prefix of each
-    class, whose completions come first lexicographically.
-    """
-    _, group, count = np.unique(np.stack([cluster.energies, cluster.path_losses], axis=1), axis=0,
-                                return_inverse=True, return_counts=True)
-    peers = [np.nonzero(group.reshape(-1) == g)[0] for g in np.nonzero(count > 1)[0]]
-    n = table.shape[1]
-    orders = np.zeros((1, 0), dtype=int)
-    masks = np.zeros(1, dtype=int)
-    spent = np.zeros(1)
-    loads = np.zeros((1, n))
-    for size in range(n):
-        free = np.nonzero((masks[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(masks), n - size)
-        after = masks[:, None] | (1 << free)
-        total = spent[:, None] + times[masks[:, None], free]
-        rows, cols = np.nonzero(total + rest[after] <= 1.0)
-        node = free[rows, cols]
-        loads = loads[rows]
-        loads[np.arange(len(rows)), node] = table[masks[rows], node]
-        masks = after[rows, cols]
-        key = np.column_stack([loads, masks])
-        for p in peers:
-            key[:, p] = np.sort(key[:, p], axis=1)
-        # rows come in lexicographic order, so the first of each key is the smallest prefix
-        keep = np.sort(np.unique(key, axis=0, return_index=True)[1])
-        if len(keep) > _MAX_TIED_CLASSES:
-            raise GuardError(f"over {_MAX_TIED_CLASSES} load classes of prefixes lie within {_BAND:g} of the best lifetime")
-        orders = np.column_stack([orders[rows[keep]], node[keep]])
-        masks, spent, loads = masks[keep], total[rows, cols][keep], loads[keep]
-    return orders
-
-
-def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orders within the band below the optimal lifetime L*, and a lifetime no order reaches.
+def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The lexicographically first order within 1e-12 of the optimal lifetime L*, and a lifetime no order reaches.
 
     F(L), the least total slot time over all orders, grows with L, and L* is
     the root of F(L) = 1. A safeguarded Newton loop on ln L narrows a bracket
-    [lo, hi] with F(e^lo) <= 1 < F(e^hi) until one closing call brackets
-    L* within 0.4 of ``_BAND``; the orders that fit the slot one band below
-    the bracket are listed, the first of each load class, and the point a
-    quarter band above it, 1/4 to 0.65 of the band above L*, is the
-    certificate.
+    [lo, hi] with F(e^lo) <= 1 < F(e^hi) to max(1e-13, 4 ulp of ln L). One
+    last DP call prices two lifetimes: at e^lo (1 - 1e-12) the order is read
+    greedily from the suffix table, as the first whose slot times fit, and at
+    e^hi e^4.5e-10, within 1e-9 above L*, F > 1 certifies that no order
+    lasts that long.
     """
     slot = _SlotTimes(cluster, table)
     energy = cluster.energies / cluster.path_losses
@@ -284,19 +236,22 @@ def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray
     f_hi = slope_lo = slope_hi = np.nan
     points = lo + (hi - lo) * np.array([1.0, 2.0]) / 3 if floor > 0 else np.array([lo])
     for _ in range(_SEARCH_STEPS):
-        times, slopes = slot.at(np.exp(points))
-        rest, rest_slope = _least_time(times, slopes)
+        rest, rest_slope = _least_time(*slot.at(np.exp(points)))
         for x, f, slope in zip(points, rest[:, 0], rest_slope[:, 0]):
-            if f <= 1.0 and x >= lo:
+            if not lo <= x < hi:  # a closing point past the bracket
+                continue
+            if f <= 1.0:
                 lo, f_lo, slope_lo = x, f, slope
-            elif f > 1.0 and x < hi:
+            else:
                 hi, f_hi, slope_hi = x, f, slope
         if np.isnan(f_lo):  # step down, twice as far each time, until an order fits
             reach *= 2.0
             lo = hi - reach
             points = np.array([lo])
             continue
-        if len(points) == len(_CLOSING) and rest[1, 0] <= 1.0 < rest[2, 0]:
+        # the bracket stops at the float spacing of ln L, coarser than 1e-13 far from L = 1
+        width = max(1e-13, 4.0 * np.spacing(max(abs(lo), abs(hi))))
+        if hi - lo <= width:
             break
         if f_lo == 1.0:
             x, near = lo, True
@@ -314,41 +269,49 @@ def _shannon_search(cluster: ClusterSpec, table: np.ndarray) -> tuple[np.ndarray
                     break
             else:
                 x, near = 0.5 * (lo + hi), False
-        # near the root, one closing call brackets it and prices the listing
-        # and certificate points too
-        points = x + _BAND * np.array(_CLOSING) if near else np.array([x])
+        # near the root, one call at both sides of the estimate closes the bracket
+        points = x + 0.4 * width * np.array([-1.0, 1.0]) if near else np.array([x])
     else:
         raise NumericError(f"exact search did not bracket the optimal lifetime in {_SEARCH_STEPS} steps")
-    if not rest[3, 0] > 1.0:
+    bound = math.exp(hi + _CERTIFICATE)
+    times, slopes = slot.at(np.array([math.exp(lo) * (1.0 - _TIE_TOL), bound]))
+    rest, _ = _least_time(times, slopes)
+    if not rest[1, 0] > 1.0:
         raise NumericError("exact search lost its bracket on the optimal lifetime")
-    return _orders_within(cluster, times[0], rest[0], table), math.exp(points[3])
+    order, mask, spent = [], 0, 0.0
+    for _ in range(cluster.n):
+        free = np.nonzero((mask >> np.arange(cluster.n)) & 1 == 0)[0]
+        total = times[0, mask, free] + rest[0, mask | 1 << free]
+        # the first node some completion fits the slot after; if rounding
+        # leaves none, the one the DP's least total takes
+        fits = np.nonzero(spent + total <= 1.0)[0]
+        k = int(free[fits[0] if len(fits) else np.argmin(total)])
+        order.append(k)
+        spent += times[0, mask, k]
+        mask |= 1 << k
+    return tuple(order), bound
 
 
 def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     """Exact best static order by dynamic programming over the 2^N node sets.
 
     A node's conditional load depends only on the set polled before it
-    (``ClusterSpec.subset_loads``), so no order is enumerated:
+    (``ClusterSpec.subset_loads``), so no order is enumerated, and both modes
+    read the lexicographically first order within 1e-12 of the optimum
+    greedily from a suffix table:
 
     * SRRA mode: the bottleneck DP V(S) = max over i in S of
-      min(V(S - i), E_i / (c h(i | S - i) d_i)) gives the optimum V*, and the
-      lexicographically first order within 1e-12 of it is read greedily from
-      the suffix table.
+      min(V(S - i), E_i / (c h(i | S - i) d_i)) gives the optimum V*.
     * Shannon mode: F(L), the least total slot time over all orders at
       lifetime L, is a DP over the same sets; a safeguarded Newton loop on
-      ln L brackets the root L* of F(L) = 1 within 1e-9, and the orders that
-      fit the slot 1e-9 below the bracket are listed. Orders whose loads
-      match node for node, up to swaps between nodes of equal battery and
-      path loss, share a lifetime, so the listing keeps only the first prefix
-      of each such load class as it grows; the kept orders are judged by one
-      ``evaluate_orders`` call and the 1e-12 lexicographic tie rule. The
-      band is far wider than the evaluator's noise, so a small batch decides
-      ties that a batch of all N! orders blurred at sub-slot lifetimes.
+      ln L brackets the root L* of F(L) = 1 to about 1e-13, and the order is
+      the first whose slot times fit at L* (1 - 1e-12). Ties are so decided
+      at the DP's own precision, about 1e-14, far finer than the
+      evaluator's, which pins sub-slot lifetimes only to about 1e-11.
 
     The winner is priced by ``evaluate_schedule``. ``upper_bound`` certifies
     optimality: no order lasts longer (V* in SRRA mode; in Shannon mode an L
-    at most 1e-9 above L* with F(L) > 1). Guarded at N <= BRUTE_FORCE_MAX_NODES
-    and at 40320 load classes of prefixes in one layer of the listing.
+    at most 1e-9 above L* with F(L) > 1). Guarded at N <= BRUTE_FORCE_MAX_NODES.
     """
     if cluster.n > BRUTE_FORCE_MAX_NODES:
         raise GuardError(
@@ -358,10 +321,7 @@ def brute_force(cluster: ClusterSpec, mode: EnergyMode) -> StaticResult:
     if isinstance(mode, Srra):
         order, bound = _srra_search(cluster, mode, table)
     else:
-        orders, bound = _shannon_search(cluster, table)
-        order = orders[0]
-        if len(orders) > 1:  # a one-row batch would repeat the evaluate_schedule call below
-            order, _ = _best_order(orders, evaluate_orders(cluster, orders, mode).lifetimes)
+        order, bound = _shannon_search(cluster, table)
     return dataclasses.replace(evaluate_schedule(order, cluster, mode, method="brute"), upper_bound=bound)
 
 

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterlife import (
@@ -11,6 +11,7 @@ from clusterlife import (
     ClusterSpec,
     GuardError,
     NodeSpec,
+    NumericError,
     Shannon,
     Srra,
     ValidationError,
@@ -20,9 +21,10 @@ from clusterlife import (
     nnn,
 )
 from clusterlife.allocation import equalize_batch, lifetime_srra_batch
-from clusterlife.energy import min_time_for_energy
+from clusterlife.energy import min_time_for_energy, tx_energy
 from clusterlife.static_sched import (
     BRUTE_FORCE_MAX_NODES,
+    _shannon_search,
     all_orders,
     evaluate_orders,
     path_length,
@@ -172,22 +174,60 @@ def test_upper_bound_certifies_all_orders_of_a_tied_cluster():
     assert res.lifetime >= res.upper_bound * (1 - 1e-9)
 
 
-def test_tied_class_guard(monkeypatch):
-    monkeypatch.setattr("clusterlife.static_sched._MAX_TIED_CLASSES", 35)
-    with pytest.raises(GuardError, match="load classes"):
-        brute_force(_many_tied_cluster(), Shannon())
-
-
 def test_search_starts_below_an_overflowing_equal_split():
     # 400-bit loads: the equal-split energy 2^(400 * 3) overflows, so the
     # search steps down from the low-rate cap to find its lower bracket end
     nodes = [NodeSpec(i, (200.0 * i, 0.0), 1.0, 1.0) for i in range(3)]
     cluster = ClusterSpec(nodes, BitDistance(400))
-    res = brute_force(cluster, Shannon())
+    _, bound = _shannon_search(cluster, cluster.subset_loads())
     loads = cluster.loads(all_orders(3))
-    for bound, fits in ((res.upper_bound, False), (res.upper_bound * (1 - 1e-9), True)):
-        totals = min_time_for_energy(loads, 1.0 / bound).sum(axis=1)
+    for lifetime, fits in ((bound, False), (bound * (1 - 1e-9), True)):
+        totals = min_time_for_energy(loads, 1.0 / lifetime).sum(axis=1)
         assert (totals.min() <= 1.0) == fits
+    # the lifetime lies ~2^-790 below the asymptote cap, past the evaluator's 300 halvings
+    with pytest.raises(NumericError, match="did not converge"):
+        brute_force(cluster, Shannon())
+
+
+def precise_lifetimes(cluster):
+    """Every order's Shannon lifetime, by bisection on ln L to the float spacing, in lexicographic order."""
+    orders = all_orders(cluster.n)
+    loads = np.take_along_axis(cluster.loads(orders), np.argsort(orders, axis=1), axis=1)
+    ratio = cluster.energies / cluster.path_losses
+    with np.errstate(divide="ignore"):
+        hi = np.log(np.min(ratio / (loads * np.log(2.0)), axis=1))  # every order's time diverges here
+    lo = np.log(np.min(ratio / tx_energy(loads, 1.0 / cluster.n), axis=1))  # an equal split fits here
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        budget = ratio / np.exp(mid)[:, None]
+        feasible = np.all(budget > loads * np.log(2.0), axis=1)
+        times = min_time_for_energy(np.where(feasible[:, None], loads, 0.0), np.where(feasible[:, None], budget, 1.0))
+        fits = feasible & (times.sum(axis=1) <= 1.0)
+        lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid)
+    assert np.all(hi - lo <= 4 * np.spacing(np.abs(lo)))
+    return orders, np.exp(lo)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.sampled_from(["bit", "gauss"]),
+    st.sampled_from(sorted(FAMILIES)),
+)
+# lexicographically smaller orders 3.9e-11 and 4.9e-9 below the best
+@example(11, 4, "gauss", "unit_ratio")
+@example(0, 5, "gauss", "default")
+def test_shannon_tie_rule_against_a_precise_oracle(seed, n, model, family):
+    # the order lies within the 1e-12 tie tolerance of the best lifetime, and no
+    # lexicographically smaller order does, up to 1e-13 either way
+    cluster = make_cluster(np.random.default_rng(seed), n, model=model, **FAMILIES[family])
+    orders, lifetimes = precise_lifetimes(cluster)
+    best = lifetimes.max()
+    got = brute_force(cluster, Shannon()).order
+    index = next(i for i, row in enumerate(orders) if tuple(row) == got)
+    assert lifetimes[index] >= best * (1 - 1.1e-12)
+    assert np.all(lifetimes[:index] < best * (1 - 0.9e-12))
 
 
 def test_tie_break_is_lexicographic():
