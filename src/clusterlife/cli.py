@@ -41,11 +41,7 @@ def _write_csv(path, header, rows):
 def _mode_override(scn: scenario.Scenario, name: str | None):
     if name is None:
         return scn.mode
-    if name == "shannon":
-        return Shannon()
-    if name == "srra":
-        return Srra()
-    raise ValidationError(f"unknown mode {name!r}")
+    return Shannon() if name == "shannon" else Srra()  # argparse's choices admit no other name
 
 
 def _order_arg(text: str, n: int):
@@ -124,10 +120,8 @@ def cmd_static_opt(args):
         if not isinstance(mode, Srra):
             raise ValidationError("--method mcn requires --mode srra (or an srra scenario)")
         result = static_sched.mcn(cluster, mode)
-    elif args.method == "shp":
+    else:  # "shp"; argparse's choices reject any other name
         result = static_sched.shp_heuristic(cluster, mode)
-    else:
-        raise ValidationError(f"unknown method {args.method!r}")
     _print_static(result, cluster)
     if args.csv:
         _static_csv(args.csv, result, cluster)

@@ -12,7 +12,6 @@ one column.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,11 @@ COLUMN_ENUM_MAX_NODES = 7
 SAMPLES_PER_SCHEDULE = 8
 # Least share of the slot a sampled split gives any position, so energy stays finite.
 SPLIT_FLOOR = 1e-4
-# Points per axis of verify_theorem4's (r, s) witness grid.
+# verify_theorem4's (r, s) witness grid: evenly spaced points per axis, plus
+# points that fall short of the static split t by these shares of t (for r)
+# and of t - s_low (for s).
 _THEOREM4_GRID = 24
+_THEOREM4_NEAR = np.geomspace(0.5, 1e-6, 20)
 
 # Simplex pivot tolerance; Bland's rule keeps the walk finite.
 _PIVOT_TOL = 1e-9
@@ -251,8 +253,9 @@ def lifetime_by_schedule_count(
 
     Schedules are ranked by their static lifetime and their columns built
     once; the LP for m runs on the columns of the first m ranked orders. The
-    column sets are nested, so the sequence is non-decreasing by construction
-    and its saturation point bounds how many schedules are worth cooperating.
+    column sets are nested, so the sequence is non-decreasing by construction.
+    It reaches the full LP's lifetime only once the ranked prefix holds an
+    optimal support, whose orders need not rank high as static orders.
     """
     if cluster.n > COLUMN_ENUM_MAX_NODES:
         raise GuardError(f"the schedule-count sweep is guarded at N <= {COLUMN_ENUM_MAX_NODES}")
@@ -280,18 +283,16 @@ class Theorem4Report:
 def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon()) -> Theorem4Report:
     """Look for two cooperating schedules that beat the best single one (N = 2).
 
-    The witness is a pair (r, s): schedule (0,1) run with first-node time r
-    and schedule (1,0) with first-node time s, inside the region r < t,
-    s > (h*t - (h - h12)) / h12 around the static equalization point t.
-    The region assumes the symmetric setting (equal batteries and path
-    losses), where a marginal entropy h above the conditional h12 is the
-    condition for a gain. A witness is reported only when a pair on the
-    24 x 24 grid (r steps of ~0.017 below t) beats static by more than 1e-9
-    relative, so ``witness`` is also None when the gain lies nearer t: on
-    symmetric Gaussian pairs 1.48 or more apart a finer search finds a gain
-    (5e-5 relative at distance 1.48, at r = t - 7e-4) that this grid misses.
-    Both grids are priced in one ``split_energy`` call; a split that starves
-    a load has no finite column and is skipped, as ``build_columns`` does.
+    One cooperation LP runs over ``build_columns(cluster, mode, 64)`` plus,
+    when the marginal entropy h exceeds the conditional h12 (the condition
+    for a gain in the symmetric setting), a grid of first-node times: r < t
+    for the best static order and s > s_low = (h*t - (h - h12)) / h12 for
+    the other, t being the static split. The grid is evenly spaced and also
+    closes geometrically on t along both axes, where weakly correlated pairs
+    gain. It is priced in one ``split_energy`` call; a split that starves a
+    load is skipped, as ``build_columns`` does. When the plan beats static by
+    more than 1e-9 relative, the witness is its support's first-node time for
+    each order; those two columns alone last the plan's lifetime.
     """
     if cluster.n != 2:
         raise ValidationError("verify_theorem4 requires exactly two nodes")
@@ -299,39 +300,29 @@ def verify_theorem4(cluster: ClusterSpec, mode: EnergyMode = Shannon()) -> Theor
         raise ValidationError("verify_theorem4 is a Shannon-mode construction")
     static_best = static_sched.brute_force(cluster, mode)
 
-    plan = dynamic_lifetime(cluster, mode, samples_per_schedule=64)
-    l_dyn = plan.lifetime
-
-    best_order = static_best.order
-    other_order = tuple(reversed(best_order))
+    orders = (static_best.order, tuple(reversed(static_best.order)))
     h, h12 = float(static_best.loads[0]), float(static_best.loads[1])
-    t = float(static_best.times[best_order[0]])
+    t = float(static_best.times[orders[0][0]])
 
-    witness = None
-    witness_lifetime = None
+    columns = build_columns(cluster, mode, 64)
     if h > h12 + 1e-12:
         s_low = min(max((h * t - (h - h12)) / h12, 0.0), 1.0 - 2e-3)
-        first = np.stack([
-            np.linspace(max(t - 0.4, 1e-3), t * (1 - 1e-6), _THEOREM4_GRID),  # r, for the best order
-            np.linspace(s_low + 1e-6, 1 - 1e-3, _THEOREM4_GRID),  # s, for the other
-        ])
-        times, energy = static_sched.split_energy(
-            cluster, [best_order, other_order], np.stack([first, 1.0 - first], axis=-1)
-        )
+        r = np.concatenate([np.linspace(max(t - 0.4, 1e-3), t * (1 - 1e-6), _THEOREM4_GRID), t * (1 - _THEOREM4_NEAR)])
+        s = np.concatenate([np.linspace(s_low + 1e-6, 1 - 1e-3, _THEOREM4_GRID), t - (t - s_low) * _THEOREM4_NEAR])
+        first = np.stack([r, s])  # r for the best order, s for the other
+        times, energy = static_sched.split_energy(cluster, orders, np.stack([first, 1.0 - first], axis=-1))
         finite = np.all(np.isfinite(energy), axis=-1)
-        for i, j in itertools.product(range(_THEOREM4_GRID), repeat=2):
-            if not (finite[0, i] and finite[1, j]):
-                continue
-            pair = [Column(best_order, times[0, i], energy[0, i]), Column(other_order, times[1, j], energy[1, j])]
-            cand = solve_lp(pair, cluster.energies)
-            if cand.lifetime > static_best.lifetime * (1 + 1e-9):
-                witness = (float(first[0, i]), float(first[1, j]))
-                witness_lifetime = cand.lifetime
-                break
+        columns += [Column(orders[i], times[i, j], energy[i, j]) for i, j in zip(*np.nonzero(finite))]
+    plan = solve_lp(columns, cluster.energies)
+
+    witness = witness_lifetime = None
+    if plan.lifetime > static_best.lifetime * (1 + 1e-9):  # a gain needs both orders in the support
+        first_time = {col.order: float(col.times[col.order[0]]) for col, _ in plan.support()}
+        witness, witness_lifetime = (first_time[orders[0]], first_time[orders[1]]), plan.lifetime
     return Theorem4Report(
         static_lifetime=static_best.lifetime,
-        dynamic_lifetime=l_dyn,
-        improvement=l_dyn - static_best.lifetime,
+        dynamic_lifetime=plan.lifetime,
+        improvement=plan.lifetime - static_best.lifetime,
         static_order=static_best.order,
         witness=witness,
         witness_lifetime=witness_lifetime,

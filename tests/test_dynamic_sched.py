@@ -21,8 +21,8 @@ from clusterlife import (
 )
 from clusterlife import dynamic_sched
 from clusterlife.dynamic_sched import Column, build_columns, simplex_grid_samples, solve_lp
-from clusterlife.static_sched import all_orders, evaluate_orders
-from conftest import make_cluster
+from clusterlife.static_sched import all_orders, evaluate_orders, split_energy
+from conftest import make_cluster, two_node_cluster
 
 
 def asymmetric_entropy_pair(energy=None):
@@ -232,6 +232,41 @@ def test_verify_theorem4_skips_starved_splits_on_random_pairs():
             assert report.dynamic_lifetime >= report.static_lifetime * (1 - 1e-9)
             if report.witness is not None:
                 assert report.witness_lifetime > report.static_lifetime
+                assert report.dynamic_lifetime >= report.witness_lifetime
+
+
+def test_verify_theorem4_solves_one_lp(monkeypatch):
+    # a weakly correlated pair: the grid is built, yet no pair beats static
+    cluster = two_node_cluster(distance=3.0, model=GaussianField(1.0, 0.5, offset=3.0))
+    calls = []
+    lp = dynamic_sched.solve_lp
+    monkeypatch.setattr(dynamic_sched, "solve_lp", lambda *a, **k: calls.append(1) or lp(*a, **k))
+    report = verify_theorem4(cluster)
+    assert report.witness is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("distance", [1.2, 1.48, 2.0])
+def test_verify_theorem4_finds_gains_near_the_static_split(distance):
+    # symmetric Gaussian pairs this far apart gain only with r and s within
+    # a few 1e-3 of t, finer than the evenly spaced grid
+    cluster = two_node_cluster(distance=distance, model=GaussianField(1.0, 0.5, offset=3.0))
+    report = verify_theorem4(cluster)
+    assert report.witness is not None
+    best = report.static_order
+    r, s = report.witness
+    times, energy = split_energy(cluster, [best, best[::-1]], [[[r, 1 - r]], [[s, 1 - s]]])
+    pair = solve_lp([Column(best, times[0, 0], energy[0, 0]), Column(best[::-1], times[1, 0], energy[1, 0])],
+                    cluster.energies)
+    assert pair.lifetime == pytest.approx(report.witness_lifetime, rel=1e-9, abs=0)
+    assert pair.lifetime > report.static_lifetime * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", [74, 124])
+def test_verify_theorem4_witness_never_beats_its_own_plan(seed):
+    report = verify_theorem4(make_cluster(np.random.default_rng(seed), 2, "gauss"))
+    assert report.witness is not None
+    assert report.dynamic_lifetime >= report.witness_lifetime
 
 
 def test_theorem_improvement_on_asymmetric_entropy_instance():
