@@ -42,8 +42,8 @@ print(f"static plan, order {static.order}")
 print(f"  analytic lifetime  L = {static.lifetime:.4f}")
 print(f"  simulated slots      = {trace.completed_slots} (floor(L) = {math.floor(static.lifetime)})")
 print(f"  first node unable to pay slot {trace.completed_slots + 1}: node {trace.first_dead}")
-*_, last = trace.records()
-print(f"  batteries after the last slot: {np.array2string(last.remaining, precision=3)}")
+*_, (_, _, after) = trace.blocks()  # the last block ends at the last slot
+print(f"  batteries after the last slot: {np.array2string(after[-1], precision=3)}")
 
 print()
 plan = dynamic_lifetime(cluster, Shannon(), samples_per_schedule=5)

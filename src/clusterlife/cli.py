@@ -2,14 +2,16 @@
 
 Subcommands: gen, eval, static-opt, dynamic-opt, geometry-export, simulate.
 Human-readable summaries go to stdout; machine output is CSV (one header
-row, fixed column order, 12 significant digits). Exit codes: 0 success,
+row, fixed column order, 12 significant digits, rows ending in CRLF). No
+cell ever needs quoting, so each row is one joined line. ``simulate``
+streams its per-slot CSV one walk block (``SimTrace.blocks()``) at a time,
+so its memory does not grow with the slot count. Exit codes: 0 success,
 2 validation error, 3 guard violation, 4 numeric/model failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -30,12 +32,29 @@ def _fmt(x) -> str:
     return _FMT.format(float(x))
 
 
+def _line(cells) -> str:
+    return ",".join(cells) + "\r\n"
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        fh.write(_line(header))
+        fh.writelines(_line(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows)
+
+
+def _simulate_csv(path, trace, n):
+    """Per-slot rows (slot, schedule, spent0.., remaining0..), written one walk block at a time."""
+    header = ["slot", "schedule"] + [f"spent{k}" for k in range(n)] + [f"remaining{k}" for k in range(n)]
+    with open(path, "w", newline="") as fh:
+        fh.write(_line(header))
+        done = 0
+        for order, cost, after in trace.blocks():
+            prefix = ",".join(["-".join(map(str, order)), *map(_fmt, cost)]) + ","
+            fh.writelines(
+                f"{slot},{prefix}{','.join(map(_FMT.format, row))}\r\n"
+                for slot, row in enumerate(after.tolist(), done + 1)
+            )
+            done += len(after)
 
 
 def _mode_override(scn: scenario.Scenario, name: str | None):
@@ -217,16 +236,7 @@ def cmd_simulate(args):
     print(f"completed_slots: {trace.completed_slots}")
     print(f"first_dead: {trace.first_dead if trace.first_dead is not None else 'none'}")
     if args.csv:
-        rows = (
-            (str(rec.slot), "-".join(str(i) for i in rec.order)) + tuple(rec.energy_spent) + tuple(rec.remaining)
-            for rec in trace.records()
-        )
-        header = (
-            ["slot", "schedule"]
-            + [f"spent{k}" for k in range(cluster.n)]
-            + [f"remaining{k}" for k in range(cluster.n)]
-        )
-        _write_csv(args.csv, header, rows)
+        _simulate_csv(args.csv, trace, cluster.n)
     return 0
 
 

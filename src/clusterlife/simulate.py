@@ -21,8 +21,11 @@ from .errors import GuardError, ValidationError
 from .model import ClusterSpec
 from .static_sched import StaticResult
 
-# Absolute slack when comparing a battery to a per-slot cost, absorbing
-# root-finder residue in the analytic allocations.
+# Slack, relative to a node's per-slot cost, when comparing its battery to
+# that cost: a node pays when remaining >= cost * (1 - FEASIBILITY_SLACK),
+# which absorbs root-finder residue in the analytic allocations at any scale
+# of batteries and path losses. A node that pays nothing never blocks a slot,
+# even when an earlier slot left its battery that slack below zero.
 FEASIBILITY_SLACK = 1e-9
 
 # Slots drained per block by the walk and by the record replay.
@@ -58,14 +61,21 @@ class SimTrace:
     completed_slots: int
     first_dead: int | None  # smallest node id that blocked the next slot
 
-    def records(self):
-        """Replay the per-slot records from the segments, one block at a time."""
-        remaining, slot = self.start, 0
+    def blocks(self):
+        """Replay the segments as (order, per-slot cost, batteries after each slot) blocks of the walk."""
+        remaining = self.start
         for order, cost, count in self.segments:
             for steps in _blocks(remaining, cost, count):
-                for remaining in steps[1:]:
-                    slot += 1
-                    yield SlotRecord(slot=slot, order=order, energy_spent=cost, remaining=remaining)
+                remaining = steps[-1]
+                yield order, cost, steps[1:]
+
+    def records(self):
+        """Replay the per-slot records, one block at a time."""
+        slot = 0
+        for order, cost, after in self.blocks():
+            for remaining in after:
+                slot += 1
+                yield SlotRecord(slot=slot, order=order, energy_spent=cost, remaining=remaining)
 
 
 def _walk(cluster: ClusterSpec, columns, max_slots: int) -> SimTrace:
@@ -75,7 +85,7 @@ def _walk(cluster: ClusterSpec, columns, max_slots: int) -> SimTrace:
     for order, cost, count in columns:
         cost = np.array(cost, dtype=float)
         cost.flags.writeable = False
-        need = cost - FEASIBILITY_SLACK
+        need = np.where(cost == 0, -np.inf, cost * (1 - FEASIBILITY_SLACK))
         paid = 0
         for steps in _blocks(remaining, cost, min(count, max_slots - slot)):
             paying = np.all(steps[:-1] >= need, axis=1)

@@ -1,9 +1,12 @@
 import csv
 import json
 import re
+import shutil
+import tracemalloc
 
 import pytest
 
+from clusterlife import brute_force, cli, scenario, simulate as simulate_module
 from clusterlife.cli import main
 from clusterlife.static_sched import BRUTE_FORCE_MAX_NODES
 
@@ -268,3 +271,130 @@ def test_mode_override(scenario_file, capsys):
         ["static-opt", "--scenario", str(scenario_file), "--method", "mcn"], capsys
     )
     assert code == 2
+
+
+# The CSV writer the CLI used before it joined each row itself, kept as the
+# reference its bytes must match: csv.writer rows of 12 significant digits,
+# and simulate's per-slot rows built from SimTrace.records().
+
+
+def legacy_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else "{:.12g}".format(float(v)) for v in row])
+
+
+def legacy_simulate_csv(path, trace, n):
+    rows = (
+        (str(rec.slot), "-".join(str(i) for i in rec.order)) + tuple(rec.energy_spent) + tuple(rec.remaining)
+        for rec in trace.records()
+    )
+    header = ["slot", "schedule"] + [f"spent{k}" for k in range(n)] + [f"remaining{k}" for k in range(n)]
+    legacy_write_csv(path, header, rows)
+
+
+def outputs(args, out, capsys):
+    """Exit code, stdout and the bytes of every file the command wrote under ``out``."""
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    code, stdout, _ = run(args, capsys)
+    return code, stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def legacy_outputs_match(args, out, capsys, monkeypatch):
+    """Run a command with the CLI's writers and with the legacy ones; the same bytes come out."""
+    new = outputs(args, out, capsys)
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_write_csv", legacy_write_csv)
+        mp.setattr(cli, "_simulate_csv", legacy_simulate_csv)
+        assert outputs(args, out, capsys) == new
+    assert new[0] == 0 and new[2]
+    return new
+
+
+def walk_scenario(tmp_path, capsys, seed, nodes, model, lifetime):
+    """A generated scenario with its batteries scaled so the best static plan lasts ``lifetime`` slots."""
+    path = tmp_path / f"walk-{seed}-{nodes}-{model}-{lifetime}.json"
+    assert run(["gen", "--seed", str(seed), "--nodes", str(nodes), "--model", model, "--out", str(path)], capsys)[0] == 0
+    scn = scenario.load_scenario(str(path))
+    factor = lifetime / brute_force(scn.cluster, scn.mode).lifetime
+    doc = json.loads(path.read_text())
+    for node in doc["nodes"]:
+        node["energy"] *= factor
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_static_simulate_csv_matches_the_csv_module(tmp_path, capsys, monkeypatch):
+    scn = walk_scenario(tmp_path, capsys, 3, 3, "gauss", 5000.5)  # more slots than one walk block
+    out = tmp_path / "out"
+    code, stdout, files = legacy_outputs_match(
+        ["simulate", "--scenario", str(scn), "--csv", str(out / "sim.csv")], out, capsys, monkeypatch
+    )
+    assert "completed_slots: 5000\n" in stdout
+    assert files["sim.csv"].count(b"\r\n") == 5001
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_dynamic_simulate_csv_matches_the_csv_module_across_blocks(block, tmp_path, capsys, monkeypatch):
+    # a bit pair whose cooperation plan mixes both orders, so the walk has
+    # two segments and rows cross block and segment boundaries
+    scn = walk_scenario(tmp_path, capsys, 0, 2, "bit", 30.5)
+    monkeypatch.setattr(simulate_module, "_BLOCK", block)
+    out = tmp_path / "out"
+    _, _, files = legacy_outputs_match(
+        ["simulate", "--scenario", str(scn), "--plan", "dynamic", "--csv", str(out / "sim.csv")],
+        out, capsys, monkeypatch,
+    )
+    schedules = {row[1] for row in read_csv(out / "sim.csv")[1:]}
+    assert schedules == {"0-1", "1-0"}
+
+
+def test_zero_slot_simulate_csv_is_the_header_alone(scenario_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    _, stdout, files = legacy_outputs_match(
+        ["simulate", "--scenario", str(scenario_file), "--csv", str(out / "sim.csv")], out, capsys, monkeypatch
+    )
+    assert "completed_slots: 0\n" in stdout
+    header = ["slot", "schedule"] + [f"spent{k}" for k in range(4)] + [f"remaining{k}" for k in range(4)]
+    assert files == {"sim.csv": (",".join(header) + "\r\n").encode()}
+
+
+def test_other_csvs_match_the_csv_module(scenario_file, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    for args in (
+        ["eval", "--scenario", str(scenario_file), "--order", "3,1,0,2"],
+        ["static-opt", "--scenario", str(scenario_file)],
+        ["dynamic-opt", "--scenario", str(scenario_file), "--samples", "4"],
+    ):
+        legacy_outputs_match(args + ["--csv", str(out / "out.csv")], out, capsys, monkeypatch)
+    # two-node curves, hull and crossings; three-node curves and points; SRRA points
+    for nodes, mode, written in ((2, "shannon", 4), (3, "shannon", 7), (3, "srra", 1)):
+        scn = tmp_path / f"geo-{nodes}-{mode}.json"
+        gen = ["gen", "--seed", "9", "--nodes", str(nodes), "--model", "gauss", "--mode", mode, "--out", str(scn)]
+        assert run(gen, capsys)[0] == 0
+        args = ["geometry-export", "--scenario", str(scn), "--grid", "12", "--out-dir", str(out)]
+        _, _, files = legacy_outputs_match(args, out, capsys, monkeypatch)
+        assert len(files) == written
+
+
+def simulate_csv_peak_bytes(tmp_path, capsys, slots):
+    scn = walk_scenario(tmp_path, capsys, 0, 2, "bit", slots + 0.5)
+    out_csv = tmp_path / f"sim-{slots}.csv"
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run(["simulate", "--scenario", str(scn), "--csv", str(out_csv)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and f"completed_slots: {slots}\n" in stdout
+    return peak, out_csv.stat().st_size
+
+
+def test_simulate_csv_memory_is_one_block(tmp_path, capsys):
+    big, size = simulate_csv_peak_bytes(tmp_path, capsys, 200_000)
+    assert big < 4 * 2**20 < size
+    # the peak is one block of the walk, not the file
+    assert big < simulate_csv_peak_bytes(tmp_path, capsys, 20_000)[0] + 2**16

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -133,18 +134,23 @@ def test_batteries_never_go_negative_beyond_slack():
 # completed slot count and the first node that could not pay.
 
 
+def pays(remaining, cost):
+    """Nodes that can pay a slot: within the relative slack of their cost, or costing nothing."""
+    return (cost == 0) | (remaining >= cost * (1 - FEASIBILITY_SLACK))
+
+
 def reference_static(result, cluster, max_slots):
     cost = np.asarray(result.per_slot_energy, dtype=float)
     remaining = cluster.energies.astype(float).copy()
     rows = []
     slot = 0
-    while slot < max_slots and np.all(remaining >= cost - FEASIBILITY_SLACK):
+    while slot < max_slots and np.all(pays(remaining, cost)):
         remaining = remaining - cost
         slot += 1
         rows.append((slot, result.order, cost.copy(), remaining.copy()))
     if slot >= max_slots:
         raise GuardError(f"simulation exceeded {max_slots} slots")
-    return rows, slot, int(np.nonzero(remaining < cost - FEASIBILITY_SLACK)[0][0])
+    return rows, slot, int(np.nonzero(~pays(remaining, cost))[0][0])
 
 
 def reference_dynamic(plan, cluster, max_slots):
@@ -160,9 +166,9 @@ def reference_dynamic(plan, cluster, max_slots):
         for _ in range(count):
             if slot >= max_slots:
                 raise GuardError(f"simulation exceeded {max_slots} slots")
-            if not np.all(remaining >= col.energy - FEASIBILITY_SLACK):
+            if not np.all(pays(remaining, col.energy)):
                 if first_dead is None:
-                    first_dead = int(np.nonzero(remaining < col.energy - FEASIBILITY_SLACK)[0][0])
+                    first_dead = int(np.nonzero(~pays(remaining, col.energy))[0][0])
                 return
             remaining = remaining - col.energy
             slot += 1
@@ -235,6 +241,63 @@ def test_block_walk_matches_per_slot_reference(data):
         mp.setattr(simulate_module, "_BLOCK", block)
         got = walk_outcome(walk, plan, cluster, max_slots)
     assert got == walk_outcome(reference, plan, cluster, max_slots)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 4096])
+def test_blocks_and_records_replay_the_same_bits(block, monkeypatch):
+    monkeypatch.setattr(simulate_module, "_BLOCK", block)
+    cluster = two_node_cluster(energies=(1.0, 1.0))
+    columns = (
+        Column((0, 1), None, np.array([0.01, 0.03])),
+        Column((1, 0), None, np.array([0.02, 0.0])),
+        Column((0, 1), None, np.array([1e-3, 7e-3])),
+    )
+    plan = DynamicPlan(columns, np.array([10.0, 20.5, 5.0]), 35.5, (0, 1))
+    trace = simulate_dynamic(plan, cluster)
+    assert len(trace.segments) > 1
+    blocks = list(trace.blocks())
+    assert all(0 < len(after) <= block for _, _, after in blocks)
+    replayed = [(order, cost.tobytes(), row.tobytes()) for order, cost, after in blocks for row in after]
+    records = list(trace.records())
+    assert [rec.slot for rec in records] == list(range(1, trace.completed_slots + 1))
+    assert [(rec.order, rec.energy_spent.tobytes(), rec.remaining.tobytes()) for rec in records] == replayed
+
+
+def scaled(cluster, energy=1.0, path_loss=1.0):
+    nodes = [
+        dataclasses.replace(nd, energy=nd.energy * energy, path_loss=nd.path_loss * path_loss) for nd in cluster.nodes
+    ]
+    return ClusterSpec(nodes, cluster.correlation)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.sampled_from(["bit", "gauss"]),
+    st.sampled_from([Shannon(), Srra()]),
+    st.booleans(),
+    st.floats(1.0, 300.0),
+    st.integers(-12, 12),
+)
+def test_whole_slots_are_scale_free(seed, n, model, mode, dynamic, target, k):
+    # a lifetime depends on batteries and path losses only through E/d, so
+    # scaling both by 10^k moves neither it nor the whole slots the walk
+    # completes (the slack is relative to each per-slot cost)
+    cluster = make_cluster(np.random.default_rng(seed), n, model=model)
+    cluster = scaled(cluster, target / brute_force(cluster, mode).lifetime)
+    outcomes = []
+    for c in (cluster, scaled(cluster, 10.0**k, 10.0**k)):
+        if dynamic:
+            plan = dynamic_lifetime(c, mode, samples_per_schedule=3)
+            outcomes.append((plan.lifetime, simulate_dynamic(plan, c).completed_slots))
+        else:
+            plan = brute_force(c, mode)
+            outcomes.append((plan.lifetime, simulate_static(plan, c).completed_slots))
+    (lifetime, slots), (scaled_lifetime, scaled_slots) = outcomes
+    assert scaled_lifetime == pytest.approx(lifetime, rel=1e-9)
+    if abs(lifetime - round(lifetime)) > 1e-6:
+        assert scaled_slots == slots
 
 
 def drained_peak_bytes(slots):
