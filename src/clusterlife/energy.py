@@ -97,6 +97,9 @@ def min_time_for_energy(h, e):
 
     # Bracket in v = ln(u): the root satisfies u <= ln(r) + ln(u) + 1, which
     # is below e^7 ~ 1096 for every finite double r, and u -> 0+ as r -> 1+.
+    # Once a step moves no bracket end it repeats forever, so the loop stops
+    # there with the bits the 80th step would give (after ~62 steps unless
+    # the root is near u = 1, where v's float spacing is finer).
     lo = np.full(r.shape, -700.0)
     hi = np.full(r.shape, 7.0)
     for _ in range(80):
@@ -105,6 +108,8 @@ def min_time_for_energy(h, e):
         small = u <= 40.0
         log_g = np.where(small, np.log(np.expm1(np.where(small, u, 1.0))), u) - v
         above = log_g >= ln_r
+        if np.all(v == np.where(above, hi, lo)):
+            break
         hi = np.where(above, v, hi)
         lo = np.where(above, lo, v)
     u = np.exp(0.5 * (lo + hi))

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from clusterlife import tx_energy
+from clusterlife import allocation, tx_energy
 from clusterlife.allocation import equalize_batch, lifetime_srra_batch
 from clusterlife.energy import LN2
 
@@ -154,3 +158,84 @@ def test_srra_batch_matches_scalar():
     for r in range(30):
         ratios = [e[k] / (LN2 * loads[r, k] * d[k]) for k in range(3) if loads[r, k] > 0]
         assert batch[r] == pytest.approx(min(ratios), rel=1e-12)
+
+
+def test_zero_load_beside_a_large_battery_does_not_overflow():
+    # E/(d*h) at a zero load once overflowed through a 1e-300 floor; the
+    # suite turns that RuntimeWarning into an error.
+    lifetimes, times = equalize_batch([[2.0, 0.0]], [1e9, 1e9], [1.0, 1.0])
+    assert times[0, 1] == 0.0
+    assert times[0, 0] == pytest.approx(1.0, abs=1e-11)
+    assert lifetimes[0] == pytest.approx(1e9 / 3.0, rel=1e-11)
+    srra = lifetime_srra_batch([[2.0, 0.0]], [1e9, 1e9], [1.0, 1.0])
+    assert srra[0] == 1e9 / (LN2 * 2.0 * 1.0)
+
+
+def outcome(loads, energies, path_losses):
+    """equalize_batch's (lifetimes, times), or the (type, message) it raises."""
+    try:
+        return equalize_batch(loads, energies, path_losses)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def reference(loads, energies, path_losses):
+    """The all-bisection run: every row of every step through the exact inverse."""
+    with mock.patch.object(allocation, "_MARGIN", np.inf):
+        return outcome(loads, energies, path_losses)
+
+
+def assert_same(got, want):
+    assert type(got[0]) is type(want[0])
+    if isinstance(want[0], np.ndarray):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+@st.composite
+def load_batches(draw):
+    """Loads log-uniform in [1e-6, 16] bits with zero loads and all-zero rows,
+    batteries scaled by 10^-12..10^12, path losses in [0.1, 10]."""
+    n = draw(st.integers(1, 14))
+    m = draw(st.integers(1, 24))
+    loads = np.exp(draw(arrays(float, (m, n), elements=st.floats(math.log(1e-6), math.log(16.0)))))
+    loads[draw(arrays(bool, (m, n))) & draw(arrays(bool, (m, n)))] = 0.0
+    loads[draw(arrays(bool, m)) & draw(arrays(bool, m))] = 0.0
+    scale = 10.0 ** draw(st.floats(-12.0, 12.0))
+    energies = scale * draw(arrays(float, n, elements=st.floats(0.5, 2.0)))
+    path_losses = np.exp(draw(arrays(float, n, elements=st.floats(math.log(0.1), math.log(10.0)))))
+    return loads, energies, path_losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(load_batches())
+def test_filter_keeps_the_all_bisection_bits(batch):
+    assert_same(outcome(*batch), reference(*batch))
+
+
+def test_misjudged_newton_step_falls_back_to_the_all_bisection_run():
+    rng = np.random.default_rng(5)
+    loads = rng.uniform(0.2, 5.0, size=(6, 4))
+    e = rng.uniform(0.5, 2.0, size=4)
+    d = rng.uniform(0.5, 3.0, size=4)
+    want = reference(loads, e, d)
+    newton = allocation._newton_u
+
+    def biased(ln_r, u):
+        # converged by its own account, with no error bound, and 1e-9 off
+        u, done, cond = newton(ln_r, u)
+        return u * (1.0 + 1e-9), done, 0.0 * cond
+
+    runs = []
+    bisect = allocation._bisect_lifetime
+
+    def recorded(*args):
+        runs.append(args[-1])
+        return bisect(*args)
+
+    with mock.patch.object(allocation, "_newton_u", biased), mock.patch.object(allocation, "_MARGIN", 0.0), \
+            mock.patch.object(allocation, "_bisect_lifetime", recorded):
+        got = outcome(loads, e, d)
+    assert runs == [0.0, np.inf]
+    assert_same(got, want)

@@ -160,3 +160,41 @@ def test_mode_types():
     assert isinstance(Shannon(), Shannon)
     assert Shannon() == Shannon()
     assert Srra(c=1.0) != Srra(c=2.0)
+
+
+def eighty_halvings(h, e):
+    """The inverse's log-space bisection with all 80 halvings (no early exit)."""
+    r = e / (h * LN2)
+    ln_r = np.log(r)
+    lo = np.full(r.shape, -700.0)
+    hi = np.full(r.shape, 7.0)
+    for _ in range(80):
+        v = 0.5 * (lo + hi)
+        u = np.exp(v)
+        small = u <= 40.0
+        log_g = np.where(small, np.log(np.expm1(np.where(small, u, 1.0))), u) - v
+        above = log_g >= ln_r
+        hi = np.where(above, v, hi)
+        lo = np.where(above, lo, v)
+    return h * LN2 / np.exp(0.5 * (lo + hi))
+
+
+def test_early_exit_keeps_the_bits_of_eighty_halvings():
+    rng = np.random.default_rng(19)
+    # generic ratios from just above the asymptote to the top of the range
+    h = np.exp(rng.uniform(np.log(1e-6), np.log(16.0), size=400))
+    r = np.exp(np.exp(rng.uniform(np.log(1e-14), np.log(700.0), size=400)))
+    e = [h * LN2 * r]
+    # u near 1 (ln u near 0, where v's float spacing is finest and all 80 halvings run)
+    hu = rng.uniform(0.5, 4.0, size=200)
+    u = 1.0 + rng.uniform(-1e-6, 1e-6, size=200)
+    u[:20] = 1.0
+    e.append(hu * LN2 * np.expm1(u) / u)
+    # ratios a few ulps above 1
+    hr = np.ones(16)
+    e.append(LN2 * (1.0 + np.arange(1, 17) * np.finfo(float).eps))
+    h, e = np.concatenate([h, hu, hr]), np.concatenate(e)
+    keep = e / (h * LN2) > 1.0
+    assert keep.sum() > 600
+    h, e = h[keep], e[keep]
+    assert np.array_equal(min_time_for_energy(h, e), eighty_halvings(h, e))
